@@ -1,4 +1,5 @@
-(* hcsgc-run: command-line driver for single experiments.
+(* hcsgc-run: command-line driver for single experiments and for the
+   paper's tables and figures.
 
    Examples:
      hcsgc-run synthetic --config 16 --elements 50000
@@ -6,6 +7,8 @@
      hcsgc-run graph --algo mc --dataset uk --config 4
      hcsgc-run h2 --config 7
      hcsgc-run specjbb --config 0
+     hcsgc-run figure                     # every table and figure
+     hcsgc-run figure f4 f12 -j 4         # selected artefacts
      hcsgc-run figure f9 --runs 5 --scale 2 *)
 
 open Cmdliner
@@ -30,9 +33,25 @@ let all_configs =
   let doc = "Sweep all 19 configurations and print the figure panels." in
   Arg.(value & flag & info [ "all-configs"; "a" ] ~doc)
 
+(* Integer flags with a lower bound: an out-of-range value is a usage
+   error (exit 124) before any command runs. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= lo -> Ok n
+    | Ok _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_at_least 1
+let non_negative = int_at_least 0
+
 let runs =
   let doc = "Sample size per configuration (with --all-configs)." in
-  Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 3 & info [ "runs" ] ~docv:"N" ~doc)
 
 let jobs =
   let doc =
@@ -41,12 +60,12 @@ let jobs =
      in job order, so output is identical at any $(docv)."
   in
   Arg.(value
-      & opt int (Hcsgc_exec.Pool.default_jobs ())
+      & opt positive (Hcsgc_exec.Pool.default_jobs ())
       & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let scale =
   let doc = "Divide workload size by $(docv)." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K" ~doc)
+  Arg.(value & opt positive 1 & info [ "scale" ] ~docv:"K" ~doc)
 
 let shard_domains =
   let doc =
@@ -60,7 +79,7 @@ let shard_domains =
      parallelises across whole runs of a sweep; --shard-domains \
      parallelises inside a single many-mutator run."
   in
-  Arg.(value & opt int 0 & info [ "shard-domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative 0 & info [ "shard-domains" ] ~docv:"N" ~doc)
 
 let saturated =
   let doc = "Pin mutator and GC to a single core (Fig. 6 setup)." in
@@ -250,7 +269,7 @@ let run_experiment ?trace_out ?(trace_sample = 50_000) ?(verify = false)
         exp
     in
     E.Report.figure fmt ~title:exp.E.Runner.name
-      ~expectation:"(ad-hoc sweep; see bench/main.exe for paper figures)"
+      ~expectation:"(ad-hoc sweep; see hcsgc-run figure for paper figures)"
       results;
     match cache with
     | Some c -> Format.eprintf "[run] %s@." (store_line c.E.Runner.store)
@@ -807,53 +826,69 @@ let tier_cmd =
       $ refresh_flag)
 
 (* ------------------------------------------------------------------ *)
-(* figure: delegate to the bench registry                              *)
+(* figure: the paper's tables and figures, from the artefact registry   *)
 (* ------------------------------------------------------------------ *)
 
 let figure_cmd =
-  let which =
-    Arg.(required
-        & pos 0 (some string) None
-        & info [] ~docv:"FIG" ~doc:"t1 t2 t3 f4..f13 fserve ftier")
+  let module A = E.Artefacts in
+  let ids =
+    let doc =
+      "Artefacts to regenerate, in the order given (see ARTEFACTS); with \
+       none, every artefact in registry order."
+    in
+    Arg.(value
+        & pos_all (enum (List.map (fun a -> (a.A.id, a.A.id)) A.all)) []
+        & info [] ~docv:"ID" ~doc)
   in
-  let run which runs jobs scale shard_domains cache_dir no_cache refresh =
+  let per_artefact name docv what =
+    let doc =
+      Printf.sprintf "%s (default: per artefact, see ARTEFACTS)." what
+    in
+    Arg.(value & opt (some positive) None & info [ name ] ~docv ~doc)
+  in
+  let fifo =
+    let doc =
+      "Submit cold jobs in expansion order instead of \
+       longest-estimated-first (for measuring the scheduler; output is \
+       identical either way)."
+    in
+    Arg.(value & flag & info [ "fifo" ] ~doc)
+  in
+  let run ids runs scale jobs shard_domains fifo cache_dir no_cache refresh =
     let cache = cache_of ~no_cache ~refresh ~cache_dir in
-    let sd = shard_domains in
-    (match which with
-    | "t1" -> E.Tables.t1 fmt
-    | "t2" -> E.Tables.t2 fmt
-    | "t3" -> E.Tables.t3 ~scale fmt
-    | "f4" -> E.Fig_synthetic.fig4 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f5" -> E.Fig_synthetic.fig5 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f6" ->
-        (* saturated single core: no sharded execution model *)
-        if sd > 0 then
-          Format.eprintf "[figure] --shard-domains ignored for saturated f6@.";
-        E.Fig_synthetic.fig6 ~runs ~jobs ~scale ?cache fmt
-    | "f7" -> E.Fig_graph.fig7 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f8" -> E.Fig_graph.fig8 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f9" -> E.Fig_graph.fig9 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f10" -> E.Fig_graph.fig10 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f11" -> E.Fig_dacapo.fig11 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f12" -> E.Fig_dacapo.fig12 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f13" -> E.Fig_specjbb.fig13 ~runs ~jobs ~scale ~shard_domains:sd fmt
-    | "fserve" ->
-        E.Fig_serve.figure ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "ftier" ->
-        E.Fig_tier.figure ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | other -> Format.eprintf "unknown figure: %s@." other);
+    let scheduling = if fifo then `Fifo else `Cost in
+    let t0 = Unix.gettimeofday () in
+    List.iter
+      (fun (a : A.t) ->
+        Format.eprintf "[figure] running %s (%s)@." a.A.id a.A.what;
+        a.A.run
+          ~runs:(Option.value runs ~default:a.A.runs)
+          ~scale:(Option.value scale ~default:a.A.scale)
+          ~jobs ~shard_domains ~cache ~scheduling fmt)
+      (if ids = [] then A.all else List.filter_map A.find ids);
     Option.iter
       (fun c -> Format.eprintf "[figure] %s@." (store_line c.E.Runner.store))
-      cache
+      cache;
+    Format.eprintf "[figure] done in %.1fs@." (Unix.gettimeofday () -. t0)
+  in
+  let man =
+    `S "ARTEFACTS"
+    :: List.map
+         (fun a ->
+           `I
+             ( Printf.sprintf "$(b,%s)" a.A.id,
+               Printf.sprintf "%s (default --runs %d --scale %d)" a.A.what
+                 a.A.runs a.A.scale ))
+         A.all
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's tables or figures")
+    (Cmd.info "figure" ~man
+       ~doc:"Regenerate the paper's tables and figures (§4) and the ablations")
     Term.(
-      const run $ which
-      $ Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc:"Sample size.")
-      $ jobs
-      $ Arg.(value & opt int 2 & info [ "scale" ] ~docv:"K" ~doc:"Scale divisor.")
-      $ shard_domains $ cache_dir $ no_cache $ refresh_flag)
+      const run $ ids
+      $ per_artefact "runs" "N" "Sample size per configuration"
+      $ per_artefact "scale" "K" "Divide workload size by $(docv)"
+      $ jobs $ shard_domains $ fifo $ cache_dir $ no_cache $ refresh_flag)
 
 let () =
   let info =

@@ -7,6 +7,7 @@ module Layout = Hcsgc_heap.Layout
 module Runner = Hcsgc_experiments.Runner
 module Report = Hcsgc_experiments.Report
 module Tables = Hcsgc_experiments.Tables
+module Artefacts = Hcsgc_experiments.Artefacts
 module Fig_synthetic = Hcsgc_experiments.Fig_synthetic
 module Fig_graph = Hcsgc_experiments.Fig_graph
 module Synthetic = Hcsgc_workloads.Synthetic
@@ -140,8 +141,54 @@ let heap_series_renders () =
   Format.pp_print_flush fmt ();
   check Alcotest.bool "renders" true (String.length (Buffer.contents buf) > 0)
 
+(* The artefact registry: ids are unique, and DESIGN.md's per-experiment
+   index names exactly the registry's ids in its "hcsgc-run figure ID"
+   column, so every documented command resolves. *)
+let registry_ids_unique () =
+  List.iter
+    (fun a ->
+      check Alcotest.bool ("find " ^ a.Artefacts.id ^ " is this entry") true
+        (match Artefacts.find a.Artefacts.id with
+        | Some b -> b == a
+        | None -> false))
+    Artefacts.all
+
+let design_md_ids_resolve () =
+  (* the test binary runs in _build/default/test under dune runtest *)
+  let path = List.find Sys.file_exists [ "../DESIGN.md"; "DESIGN.md" ] in
+  let marker = "`hcsgc-run figure " in
+  let m = String.length marker in
+  let rec ids_in line i =
+    if i + m > String.length line then []
+    else if String.sub line i m = marker then
+      let stop = String.index_from line (i + m) '`' in
+      String.sub line (i + m) (stop - i - m) :: ids_in line stop
+    else ids_in line (i + 1)
+  in
+  let documented =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"|")
+    |> List.concat_map (fun line -> ids_in line 0)
+  in
+  List.iter
+    (fun id ->
+      check Alcotest.bool ("DESIGN.md id resolves: " ^ id) true
+        (Artefacts.find id <> None))
+    documented;
+  List.iter
+    (fun a ->
+      check Alcotest.bool ("documented in DESIGN.md: " ^ a.Artefacts.id) true
+        (List.mem a.Artefacts.id documented))
+    Artefacts.all
+
 let suite =
   [
+    ( "experiments.artefacts",
+      [
+        case "registry ids unique" `Quick registry_ids_unique;
+        case "DESIGN.md ids resolve" `Quick design_md_ids_resolve;
+      ] );
     ( "experiments.runner",
       [
         case "shape" `Quick runner_shape;

@@ -1,10 +1,10 @@
 (* The steady-state allocation gate: a full GC cycle over all-garbage
-   pages (bench/gccycle's churn kernel, scaled down) must allocate zero
-   host words once arenas and tables have reached their high-water
-   sizes.  This is the regression fence for the flat forwarding index,
-   the reused phase arenas and the in-place heap bookkeeping — any
-   reintroduced per-cycle boxing (an option, a tuple, a closure, a list)
-   shows up here as a fraction of a word per cycle. *)
+   pages (the churn kernel: every page released without a copy) must
+   allocate zero host words once arenas and tables have reached their
+   high-water sizes.  This is the regression fence for the flat
+   forwarding index, the reused phase arenas and the in-place heap
+   bookkeeping — any reintroduced per-cycle boxing (an option, a tuple, a
+   closure, a list) shows up here as a fraction of a word per cycle. *)
 
 module Heap = Hcsgc_heap.Heap
 module Layout = Hcsgc_heap.Layout
@@ -44,8 +44,7 @@ let mk_churn () =
   (col, mutate)
 
 (* Gc.allocated_bytes allocates its own boxed result; the per-call
-   constant is deterministic — calibrate and subtract (same scheme as
-   bench/gccycle). *)
+   constant is deterministic — calibrate and subtract. *)
 let overhead_per_call () =
   let a0 = Gc.allocated_bytes () in
   let a1 = Gc.allocated_bytes () in

@@ -316,25 +316,34 @@ let config_validation () =
 (* Determinism battery                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let tiered_metrics ~shard_domains ~verify =
+let tiered_metrics ?(capacity = 16) ~shard_domains ~verify () =
   let exp = Fig_synthetic.experiment ~cold_ratio:4 ~shard_domains ~scale:50 () in
-  let vm = exp.Runner.make_vm (tiered_config ()) in
+  let vm = exp.Runner.make_vm (tiered_config ~capacity ()) in
   if verify then Vm.enable_verification vm;
   exp.Runner.workload vm ~run:0;
   Vm.finish vm;
   Runner.metrics_to_string (Runner.collect vm)
 
+(* Every capacity of the ftier sweep, the tier-off point 0 included. *)
 let tiered_shard_counts_identical () =
-  let reference = tiered_metrics ~shard_domains:1 ~verify:false in
-  check Alcotest.string "shard 2 = shard 1" reference
-    (tiered_metrics ~shard_domains:2 ~verify:false);
-  check Alcotest.string "shard 4 = shard 1" reference
-    (tiered_metrics ~shard_domains:4 ~verify:false)
+  List.iter
+    (fun capacity ->
+      let reference =
+        tiered_metrics ~capacity ~shard_domains:1 ~verify:false ()
+      in
+      List.iter
+        (fun sd ->
+          check Alcotest.string
+            (Printf.sprintf "capacity %d: shard %d = shard 1" capacity sd)
+            reference
+            (tiered_metrics ~capacity ~shard_domains:sd ~verify:false ()))
+        [ 2; 4 ])
+    Fig_tier.default_capacities
 
 let tiered_verified_equals_unverified () =
   check Alcotest.string "verified = unverified"
-    (tiered_metrics ~shard_domains:0 ~verify:false)
-    (tiered_metrics ~shard_domains:0 ~verify:true)
+    (tiered_metrics ~shard_domains:0 ~verify:false ())
+    (tiered_metrics ~shard_domains:0 ~verify:true ())
 
 let render_sweep results =
   String.concat "\n"
