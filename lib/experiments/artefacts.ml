@@ -88,33 +88,17 @@ let all =
       Fig_dacapo.fig11;
     sweep "f12" "Fig. 12: DaCapo h2 (simulated)" ~runs:2 ~scale:2
       Fig_dacapo.fig12;
-    {
-      id = "f13";
-      what = "Fig. 13: SPECjbb2015 (simulated)";
-      runs = 2;
-      scale = 2;
-      run =
-        (fun ~runs ~scale ~jobs ~shard_domains ~cache:_ ~scheduling:_ fmt ->
-          Fig_specjbb.fig13 ~runs ~scale ~jobs ~shard_domains fmt);
-    };
-    {
-      id = "fserve";
-      what = "serving tier: tail latency and SLO attribution";
-      runs = 3;
-      scale = 2;
-      run =
-        (fun ~runs ~scale ~jobs ~shard_domains ~cache ~scheduling:_ fmt ->
-          Fig_serve.figure ~runs ~scale ~jobs ~shard_domains ?cache fmt);
-    };
-    {
-      id = "ftier";
-      what = "far-memory tier: capacity sweep";
-      runs = 3;
-      scale = 2;
-      run =
-        (fun ~runs ~scale ~jobs ~shard_domains ~cache ~scheduling:_ fmt ->
-          Fig_tier.figure ~runs ~scale ~jobs ~shard_domains ?cache fmt);
-    };
+    sweep "f13" "Fig. 13: SPECjbb2015 (simulated)" ~runs:2 ~scale:2
+      Fig_specjbb.fig13;
+    sweep "fserve" "serving tier: tail latency and SLO attribution" ~runs:3
+      ~scale:2
+      (fun ?runs ?scale ?jobs ?shard_domains ?cache ?scheduling fmt ->
+        Fig_serve.figure ?runs ?scale ?jobs ?shard_domains ?cache ?scheduling
+          fmt);
+    sweep "ftier" "far-memory tier: capacity sweep" ~runs:3 ~scale:2
+      (fun ?runs ?scale ?jobs ?shard_domains ?cache ?scheduling fmt ->
+        Fig_tier.figure ?runs ?scale ?jobs ?shard_domains ?cache ?scheduling
+          fmt);
     ablation "abl-prefetch" "ablation: access-order layout needs prefetching"
       Ablations.prefetcher;
     ablation "abl-tlb" "ablation: page-locality (dTLB) effect" Ablations.tlb;

@@ -6,10 +6,11 @@
     Each entry carries its default sample size and workload-size divisor
     (the fast preset EXPERIMENTS.md was measured with); callers may
     override both.  [jobs], [cache] and [scheduling] only move wall-clock
-    time, never output bytes (see {!Runner.run_configs}).  Artefacts that
-    have no use for an argument ignore it: tables ignore everything but
-    [scale] (t3), the ablations and f13 never touch the result store, and
-    the saturated single-core f6 has no sharded execution model. *)
+    time, never output bytes (see {!Runner.run_jobs}); every sweep
+    artefact honours all three.  Artefacts that have no use for an
+    argument ignore it: tables ignore everything but [scale] (t3), the
+    ablations never touch the result store, and the saturated single-core
+    f6 has no sharded execution model. *)
 
 type t = {
   id : string;  (** command-line id: ["t1"], ["f4"], ["abl-tlb"], ... *)

@@ -6,10 +6,8 @@ module Slo = Hcsgc_serve.Slo
 module Arrival = Hcsgc_serve.Arrival
 module Keydist = Hcsgc_workloads.Keydist
 module Analyzer = Hcsgc_telemetry.Analyzer
-module Pool = Hcsgc_exec.Pool
 module Reporter = Hcsgc_exec.Reporter
-module Fingerprint = Hcsgc_store.Fingerprint
-module Result_store = Hcsgc_store.Result_store
+module Codec = Hcsgc_store.Codec
 module Bootstrap = Hcsgc_stats.Bootstrap
 module Render = Hcsgc_stats.Render
 
@@ -35,41 +33,19 @@ type outcome = {
 (* Payload codec: what a job stores under its fingerprint.             *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "hcsgc-serve-metrics 1"
+let codec =
+  Codec.(
+    record (fun report histogram checksum metrics ->
+        { report; histogram; checksum; metrics })
+    |> lit "hcsgc-serve-metrics 1" |> newline
+    |> field Slo.codec (fun o -> o.report) |> newline
+    |> field int_array (fun o -> o.histogram) |> newline
+    |> field int (fun o -> o.checksum) |> newline
+    |> field Runner.metrics_codec (fun o -> o.metrics)
+    |> seal)
 
-let outcome_to_string o =
-  String.concat "\n"
-    [
-      magic;
-      Slo.to_line o.report;
-      Slo.histogram_to_string o.histogram;
-      string_of_int o.checksum;
-      Runner.metrics_to_string o.metrics;
-    ]
-
-let outcome_of_string s =
-  match String.split_on_char '\n' s with
-  | m :: slo_line :: hist :: cs :: rest when m = magic -> (
-      let histogram =
-        String.split_on_char ' ' hist
-        |> List.fold_left
-             (fun acc tok ->
-               match (acc, int_of_string_opt tok) with
-               | Some acc, Some n -> Some (n :: acc)
-               | _ -> None)
-             (Some [])
-        |> Option.map (fun l -> Array.of_list (List.rev l))
-      in
-      match
-        ( Slo.of_line slo_line,
-          histogram,
-          int_of_string_opt cs,
-          Runner.metrics_of_string (String.concat "\n" rest) )
-      with
-      | Ok report, Some histogram, Some checksum, Some metrics ->
-          Some { report; histogram; checksum; metrics }
-      | _ -> None)
-  | _ -> None
+let outcome_to_string = Codec.to_string codec
+let outcome_of_string = Codec.of_string codec
 
 (* ------------------------------------------------------------------ *)
 (* Content addressing                                                  *)
@@ -80,11 +56,6 @@ let experiment_key ?(heap = max_heap) ~params ~shard_domains ~slo () =
     (Serve.params_key { params with Serve.seed = 0 })
     slo heap trigger
     (Runner.em_tag shard_domains)
-
-let fingerprint ~key ~verify (id, run) =
-  Fingerprint.make ~experiment:key ~config:(Runner.config_key id) ~run ~verify
-
-let cost_key ~key id = key ^ "#" ^ Runner.config_key id
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -112,69 +83,20 @@ let compute ~heap ~verify ~shard_domains ~slo ~params (id, run) =
     metrics = Runner.collect vm;
   }
 
-let try_cached (c : Runner.cache) fp =
-  if c.Runner.refresh then None
-  else
-    match Result_store.find c.Runner.store fp with
-    | None -> None
-    | Some payload -> (
-        match outcome_of_string payload with
-        | Some o -> Some o
-        | None ->
-            Result_store.note_invalid c.Runner.store;
-            None)
-
-let sweep ?(config_ids = default_configs) ?(runs = 3) ?(jobs = 1)
-    ?(verify = false) ?cache ?(shard_domains = 0) ?(slo = default_slo)
+let sweep ?(config_ids = default_configs) ?(runs = 3) ?jobs ?(verify = false)
+    ?cache ?scheduling ?(shard_domains = 0) ?(slo = default_slo)
     ?(heap = max_heap) ?(progress = fun _ -> ()) ~params () =
   let key = experiment_key ~heap ~params ~shard_domains ~slo () in
-  let job_arr =
-    Array.of_list
-      (List.concat_map
-         (fun id -> List.init runs (fun run -> (id, run)))
-         config_ids)
-  in
-  let n = Array.length job_arr in
   let reporter = Reporter.create ~emit:progress () in
-  (* Hits are resolved up front on the calling domain (store reads stay
-     single-domain); only misses reach the pool, hits-first submission so
-     no worker waits behind instant jobs. *)
-  let cached =
-    match cache with
-    | Some c ->
-        Array.map (fun job -> try_cached c (fingerprint ~key ~verify job)) job_arr
-    | None -> Array.make n None
+  let compute ((id, run) as job) =
+    if run = 0 then
+      Reporter.sayf reporter "serve: config %d (%s)" id
+        (Config.to_string (Config.of_id id));
+    compute ~heap ~verify ~shard_domains ~slo ~params job
   in
-  let hit_idx, miss_idx =
-    List.init n Fun.id |> List.partition (fun i -> Option.is_some cached.(i))
-  in
-  let order = Array.of_list (hit_idx @ miss_idx) in
-  let run_one i =
-    match cached.(i) with
-    | Some o -> o
-    | None ->
-        let ((id, run) as job) = job_arr.(i) in
-        if run = 0 then
-          Reporter.sayf reporter "serve: config %d (%s)" id
-            (Config.to_string (Config.of_id id));
-        let t0 = Unix.gettimeofday () in
-        let o = compute ~heap ~verify ~shard_domains ~slo ~params job in
-        (match cache with
-        | None -> ()
-        | Some c ->
-            Result_store.add c.Runner.store (fingerprint ~key ~verify job)
-              ~cost_key:(cost_key ~key id)
-              ~cost:(Unix.gettimeofday () -. t0)
-              (outcome_to_string o));
-        o
-  in
-  let outcomes =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
-  in
-  List.mapi
-    (fun i id -> (id, Array.sub outcomes (i * runs) runs))
-    config_ids
+  Runner.sweep ?jobs ?cache ?scheduling
+    (Runner.config_spec ~key ~verify ~compute codec)
+    ~runs ~job:(fun id run -> (id, run)) config_ids
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -195,12 +117,12 @@ let scaled_heap ~scale = max (2 * 1024 * 1024) (max_heap / scale)
 
 let bootstrap_seed = 42
 
-let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?verify ?cache
+let figure ?(runs = 3) ?(scale = 1) ?jobs ?verify ?cache ?scheduling
     ?(shard_domains = 0) ?(config_ids = default_configs) ?(slo = default_slo)
     fmt =
   let params = scaled_params ~scale in
   let results =
-    sweep ~config_ids ~runs ~jobs ?verify ?cache ~shard_domains ~slo
+    sweep ~config_ids ~runs ?jobs ?verify ?cache ?scheduling ~shard_domains ~slo
       ~heap:(scaled_heap ~scale)
       ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
       ~params ()

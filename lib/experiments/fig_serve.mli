@@ -7,8 +7,8 @@
     SLO violations and their pause/service attribution per
     configuration.
 
-    Jobs fan out over a {!Hcsgc_exec.Pool} and aggregate in job order,
-    so output is byte-identical at any [--jobs].  With a [cache], each
+    Jobs run through {!Runner.sweep}, so output is byte-identical at any
+    [--jobs] and under either scheduling.  With a [cache], each
     job's {!outcome} (SLO report + latency histogram + checksum + run
     metrics) is content-addressed in the {!Hcsgc_store.Result_store}
     under {!Runner.config_key} addressing, so warm re-renders skip the
@@ -31,10 +31,16 @@ type outcome = {
   metrics : Runner.run_metrics;
 }
 
+val codec : outcome Hcsgc_store.Codec.t
+(** The cached representation: magic line [hcsgc-serve-metrics 1], the
+    {!Slo.codec} line, the histogram line, the checksum line, then the
+    {!Runner.metrics_codec} payload. *)
+
 val outcome_to_string : outcome -> string
-(** Versioned lossless payload codec (the cached representation). *)
+(** [Codec.to_string codec]. *)
 
 val outcome_of_string : string -> outcome option
+(** [Codec.of_string codec]. *)
 
 val experiment_key :
   ?heap:int ->
@@ -54,6 +60,7 @@ val sweep :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
+  ?scheduling:[ `Cost | `Fifo ] ->
   ?shard_domains:int ->
   ?slo:int ->
   ?heap:int ->
@@ -61,7 +68,8 @@ val sweep :
   params:Serve.params ->
   unit ->
   (int * outcome array) list
-(** Execute the sweep; outcomes per configuration in run order.
+(** Execute the sweep through {!Runner.sweep}; outcomes per configuration
+    in run order.
     Repetition [i] reseeds the workload with [seed = i] under every
     configuration.  [heap] is the VM heap budget in bytes (default
     8 MiB — shrink it alongside scaled-down [params] or the run never
@@ -81,6 +89,7 @@ val figure :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
+  ?scheduling:[ `Cost | `Fifo ] ->
   ?shard_domains:int ->
   ?config_ids:int list ->
   ?slo:int ->

@@ -3,10 +3,9 @@ module Config = Hcsgc_core.Config
 module Layout = Hcsgc_heap.Layout
 module Tier = Hcsgc_memsim.Tier
 module Serve = Hcsgc_serve.Serve
-module Pool = Hcsgc_exec.Pool
 module Reporter = Hcsgc_exec.Reporter
 module Fingerprint = Hcsgc_store.Fingerprint
-module Result_store = Hcsgc_store.Result_store
+module Codec = Hcsgc_store.Codec
 module Bootstrap = Hcsgc_stats.Bootstrap
 module Render = Hcsgc_stats.Render
 
@@ -77,59 +76,23 @@ type outcome = {
   promoted : int;
 }
 
-let magic = "hcsgc-tier-metrics 1"
-
-let outcome_to_string o =
-  Printf.sprintf "%s\n%h %h %h %h %d %d %d\n" magic o.wall o.loads
-    o.llc_misses o.far_loads o.far_peak o.demoted o.promoted
-
-let outcome_of_string s =
-  match String.split_on_char '\n' s with
-  | m :: line :: _ when m = magic -> (
-      match String.split_on_char ' ' line with
-      | [ w; lo; ll; fl; fp; d; p ] -> (
-          match
-            ( float_of_string_opt w,
-              float_of_string_opt lo,
-              float_of_string_opt ll,
-              float_of_string_opt fl,
-              int_of_string_opt fp,
-              int_of_string_opt d,
-              int_of_string_opt p )
-          with
-          | ( Some wall,
-              Some loads,
-              Some llc_misses,
-              Some far_loads,
-              Some far_peak,
-              Some demoted,
-              Some promoted ) ->
-              Some
-                {
-                  wall;
-                  loads;
-                  llc_misses;
-                  far_loads;
-                  far_peak;
-                  demoted;
-                  promoted;
-                }
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
+let codec =
+  Codec.(
+    record (fun wall loads llc_misses far_loads far_peak demoted promoted ->
+        { wall; loads; llc_misses; far_loads; far_peak; demoted; promoted })
+    |> lit "hcsgc-tier-metrics 1" |> newline
+    |> field float (fun o -> o.wall)
+    |> field float (fun o -> o.loads)
+    |> field float (fun o -> o.llc_misses)
+    |> field float (fun o -> o.far_loads)
+    |> field int (fun o -> o.far_peak)
+    |> field int (fun o -> o.demoted)
+    |> field int (fun o -> o.promoted)
+    |> newline |> seal)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let fingerprint ~verify (exp : Runner.experiment) config run =
-  Fingerprint.make
-    ~experiment:("ftier;" ^ exp.Runner.key)
-    ~config:(Runner.config_value_key config)
-    ~run ~verify
-
-let cost_key (exp : Runner.experiment) config =
-  "ftier;" ^ exp.Runner.key ^ "#" ^ Runner.config_value_key config
 
 let compute ~verify (exp : Runner.experiment) config run =
   let vm = exp.Runner.make_vm config in
@@ -150,85 +113,48 @@ let compute ~verify (exp : Runner.experiment) config run =
     promoted = m.Runner.pages_promoted;
   }
 
-let try_cached (c : Runner.cache) fp =
-  if c.Runner.refresh then None
-  else
-    match Result_store.find c.Runner.store fp with
-    | None -> None
-    | Some payload -> (
-        match outcome_of_string payload with
-        | Some o -> Some o
-        | None ->
-            Result_store.note_invalid c.Runner.store;
-            None)
-
 let sweep ?(capacities = default_capacities) ?(lat_far = default_lat_far)
-    ?(promote = true) ?(runs = 3) ?(jobs = 1) ?(verify = false) ?cache
+    ?(promote = true) ?(runs = 3) ?jobs ?(verify = false) ?cache ?scheduling
     ?(shard_domains = 0) ?(scale = 1) ?(progress = fun _ -> ()) () =
   let fams = families ~shard_domains ~scale () in
-  let job_arr =
-    Array.of_list
+  let reporter = Reporter.create ~emit:progress () in
+  let config cap = tier_config ~capacity:cap ~lat_far ~promote in
+  (* The tier knobs enter the address by value, under an "ftier;" prefix
+     on the family's experiment key. *)
+  let address ((_, (exp : Runner.experiment), cap), _) =
+    ("ftier;" ^ exp.Runner.key, Runner.config_value_key (config cap))
+  in
+  let results =
+    Runner.sweep ?jobs ?cache ?scheduling
+      {
+        Runner.fingerprint =
+          (fun ((_, run) as job) ->
+            let experiment, config = address job in
+            Fingerprint.make ~experiment ~config ~run ~verify);
+        cost_key =
+          (fun job ->
+            let experiment, config = address job in
+            experiment ^ "#" ^ config);
+        compute =
+          (fun ((fam, exp, cap), run) ->
+            if run = 0 then
+              Reporter.sayf reporter "tier: %s cap=%d pages (lat_far=%d)" fam
+                cap lat_far;
+            compute ~verify exp (config cap) run);
+        codec;
+      }
+      ~runs
+      ~job:(fun group run -> (group, run))
       (List.concat_map
-         (fun (fam, exp) ->
-           List.concat_map
-             (fun cap ->
-               let config = tier_config ~capacity:cap ~lat_far ~promote in
-               List.init runs (fun run -> (fam, exp, cap, config, run)))
-             capacities)
+         (fun (fam, exp) -> List.map (fun cap -> (fam, exp, cap)) capacities)
          fams)
   in
-  let n = Array.length job_arr in
-  let reporter = Reporter.create ~emit:progress () in
-  (* Hits resolve up front on the calling domain (store reads stay
-     single-domain); misses reach the pool hits-first, so no worker waits
-     behind instant jobs. *)
-  let cached =
-    match cache with
-    | Some c ->
-        Array.map
-          (fun (_, exp, _, config, run) ->
-            try_cached c (fingerprint ~verify exp config run))
-          job_arr
-    | None -> Array.make n None
-  in
-  let hit_idx, miss_idx =
-    List.init n Fun.id |> List.partition (fun i -> Option.is_some cached.(i))
-  in
-  let order = Array.of_list (hit_idx @ miss_idx) in
-  let run_one i =
-    match cached.(i) with
-    | Some o -> o
-    | None ->
-        let fam, exp, cap, config, run = job_arr.(i) in
-        if run = 0 then
-          Reporter.sayf reporter "tier: %s cap=%d pages (lat_far=%d)" fam cap
-            lat_far;
-        let t0 = Unix.gettimeofday () in
-        let o = compute ~verify exp config run in
-        (match cache with
-        | None -> ()
-        | Some c ->
-            Result_store.add c.Runner.store
-              (fingerprint ~verify exp config run)
-              ~cost_key:(cost_key exp config)
-              ~cost:(Unix.gettimeofday () -. t0)
-              (outcome_to_string o));
-        o
-  in
-  let outcomes =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
-  in
-  (* Regroup the flat job-order outcome array: families in order, then
-     capacities in order, then runs. *)
-  let per_fam = List.length capacities * runs in
-  List.mapi
-    (fun fi (fam, _) ->
+  List.map
+    (fun (fam, _) ->
       ( fam,
-        List.mapi
-          (fun ci cap ->
-            (cap, Array.sub outcomes ((fi * per_fam) + (ci * runs)) runs))
-          capacities ))
+        List.filter_map
+          (fun ((f, _, cap), os) -> if f = fam then Some (cap, os) else None)
+          results ))
     fams
 
 (* ------------------------------------------------------------------ *)
@@ -241,11 +167,11 @@ let mean f (os : outcome array) =
   Array.fold_left (fun acc o -> acc +. f o) 0.0 os
   /. float_of_int (Array.length os)
 
-let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?verify ?cache
+let figure ?(runs = 3) ?(scale = 1) ?jobs ?verify ?cache ?scheduling
     ?(shard_domains = 0) ?(capacities = default_capacities)
     ?(lat_far = default_lat_far) ?(promote = true) fmt =
   let results =
-    sweep ~capacities ~lat_far ~promote ~runs ~jobs ?verify ?cache
+    sweep ~capacities ~lat_far ~promote ~runs ?jobs ?verify ?cache ?scheduling
       ~shard_domains ~scale
       ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
       ()

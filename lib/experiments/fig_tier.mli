@@ -40,11 +40,9 @@ type outcome = {
   promoted : int;
 }
 
-val outcome_to_string : outcome -> string
-(** Versioned, lossless payload stored under the job's fingerprint. *)
-
-val outcome_of_string : string -> outcome option
-(** Strict inverse of {!outcome_to_string}; [None] on malformation. *)
+val codec : outcome Hcsgc_store.Codec.t
+(** The payload stored under the job's fingerprint: magic line
+    [hcsgc-tier-metrics 1], then one line of the fields. *)
 
 val sweep :
   ?capacities:int list ->
@@ -54,13 +52,14 @@ val sweep :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
+  ?scheduling:[ `Cost | `Fifo ] ->
   ?shard_domains:int ->
   ?scale:int ->
   ?progress:(string -> unit) ->
   unit ->
   (string * (int * outcome array) list) list
-(** Run every (family, capacity, repetition) job, fanning misses over
-    [jobs] domains; results are grouped per family then per capacity, in
+(** Run every (family, capacity, repetition) job through
+    {!Runner.sweep}; results are grouped per family then per capacity, in
     input order, and are byte-identical at any [jobs]/[shard_domains]
     setting and whether served from [cache] or computed. *)
 
@@ -70,6 +69,7 @@ val figure :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
+  ?scheduling:[ `Cost | `Fifo ] ->
   ?shard_domains:int ->
   ?capacities:int list ->
   ?lat_far:int ->

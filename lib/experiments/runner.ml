@@ -7,6 +7,7 @@ module Reporter = Hcsgc_exec.Reporter
 module Fingerprint = Hcsgc_store.Fingerprint
 module Result_store = Hcsgc_store.Result_store
 module Scheduler = Hcsgc_store.Scheduler
+module Codec = Hcsgc_store.Codec
 
 type run_metrics = {
   wall : float;
@@ -57,15 +58,12 @@ let em_tag shard_domains = if shard_domains > 0 then ";em=1" else ""
 
 type job = { exp : experiment; config_id : int; run : int }
 
-let jobs_of ?config_ids ~runs exp =
-  let ids =
-    match config_ids with
-    | Some ids -> ids
-    | None -> List.map fst Config.table2
-  in
+let table2_ids = List.map fst Config.table2
+
+let jobs_of ?(config_ids = table2_ids) ~runs exp =
   List.concat_map
     (fun id -> List.init runs (fun run -> { exp; config_id = id; run }))
-    ids
+    config_ids
 
 (* ------------------------------------------------------------------ *)
 (* Result-store integration: fingerprints, metrics codec, cache handle *)
@@ -81,95 +79,49 @@ let config_value_key (c : Config.t) =
     c.Config.relocate_all_small_pages c.Config.lazy_relocate
     c.Config.tier_capacity_pages c.Config.lat_far c.Config.tier_promote
 
-let config_fingerprint_key config_id = config_value_key (Config.of_id config_id)
-
-let config_key = config_fingerprint_key
+let config_key config_id = config_value_key (Config.of_id config_id)
 
 let fingerprint ~verify job =
-  Fingerprint.make ~experiment:job.exp.key
-    ~config:(config_fingerprint_key job.config_id)
+  Fingerprint.make ~experiment:job.exp.key ~config:(config_key job.config_id)
     ~run:job.run ~verify
 
 (* Cost-model granularity: one key per (experiment, knob vector).  Run
    seeds barely move a job's duration, but configurations move it a lot
    (relocate-all vs baseline), so this is the level the scheduler can
    usefully distinguish. *)
-let cost_key job = job.exp.key ^ "#" ^ config_fingerprint_key job.config_id
+let cost_key job = job.exp.key ^ "#" ^ config_key job.config_id
 
-let metrics_magic = "hcsgc-metrics 2"
-
-let metrics_to_string m =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf metrics_magic;
-  Buffer.add_char buf '\n';
-  (* [%h] round-trips every finite float exactly through float_of_string. *)
-  Printf.bprintf buf "%h %h %h %h %h %h %h %d %h %d %d %d %d\n" m.wall m.loads
-    m.l1_misses m.llc_misses m.mut_l1_misses m.mut_llc_misses m.far_loads
-    m.gc_cycle_count m.ec_median m.reloc_mut m.reloc_gc m.pages_demoted
-    m.pages_promoted;
-  List.iter
-    (fun (wall, used) -> Printf.bprintf buf "%d,%d " wall used)
-    m.heap_samples;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-let metrics_of_string s =
-  let ( let* ) = Option.bind in
-  match String.split_on_char '\n' s with
-  | [ magic; scalars; samples; "" ] when magic = metrics_magic ->
-      let* wall, loads, l1, llc, mut_l1, mut_llc, far, gc_cycles, ec, rm, rg,
-           pd, pp =
-        match String.split_on_char ' ' scalars with
-        | [ w; lo; l1; ll; m1; ml; fr; gc; ec; rm; rg; pd; pp ] ->
-            let* w = float_of_string_opt w in
-            let* lo = float_of_string_opt lo in
-            let* l1 = float_of_string_opt l1 in
-            let* ll = float_of_string_opt ll in
-            let* m1 = float_of_string_opt m1 in
-            let* ml = float_of_string_opt ml in
-            let* fr = float_of_string_opt fr in
-            let* gc = int_of_string_opt gc in
-            let* ec = float_of_string_opt ec in
-            let* rm = int_of_string_opt rm in
-            let* rg = int_of_string_opt rg in
-            let* pd = int_of_string_opt pd in
-            let* pp = int_of_string_opt pp in
-            Some (w, lo, l1, ll, m1, ml, fr, gc, ec, rm, rg, pd, pp)
-        | _ -> None
-      in
-      let* heap_samples =
-        String.split_on_char ' ' samples
-        |> List.filter (fun p -> p <> "")
-        |> List.fold_left
-             (fun acc pair ->
-               let* acc = acc in
-               match String.split_on_char ',' pair with
-               | [ w; u ] ->
-                   let* w = int_of_string_opt w in
-                   let* u = int_of_string_opt u in
-                   Some ((w, u) :: acc)
-               | _ -> None)
-             (Some [])
-        |> Option.map List.rev
-      in
-      Some
+let metrics_codec =
+  Codec.(
+    record
+      (fun wall loads l1_misses llc_misses mut_l1_misses mut_llc_misses
+           far_loads gc_cycle_count ec_median reloc_mut reloc_gc pages_demoted
+           pages_promoted heap_samples ->
         {
-          wall;
-          loads;
-          l1_misses = l1;
-          llc_misses = llc;
-          mut_l1_misses = mut_l1;
-          mut_llc_misses = mut_llc;
-          far_loads = far;
-          gc_cycle_count = gc_cycles;
-          ec_median = ec;
-          reloc_mut = rm;
-          reloc_gc = rg;
-          pages_demoted = pd;
-          pages_promoted = pp;
-          heap_samples;
-        }
-  | _ -> None
+          wall; loads; l1_misses; llc_misses; mut_l1_misses; mut_llc_misses;
+          far_loads; gc_cycle_count; ec_median; reloc_mut; reloc_gc;
+          pages_demoted; pages_promoted; heap_samples;
+        })
+    |> lit "hcsgc-metrics 2" |> newline
+    |> field float (fun m -> m.wall)
+    |> field float (fun m -> m.loads)
+    |> field float (fun m -> m.l1_misses)
+    |> field float (fun m -> m.llc_misses)
+    |> field float (fun m -> m.mut_l1_misses)
+    |> field float (fun m -> m.mut_llc_misses)
+    |> field float (fun m -> m.far_loads)
+    |> field int (fun m -> m.gc_cycle_count)
+    |> field float (fun m -> m.ec_median)
+    |> field int (fun m -> m.reloc_mut)
+    |> field int (fun m -> m.reloc_gc)
+    |> field int (fun m -> m.pages_demoted)
+    |> field int (fun m -> m.pages_promoted)
+    |> newline
+    |> field pairs (fun m -> m.heap_samples)
+    |> newline |> seal)
+
+let metrics_to_string = Codec.to_string metrics_codec
+let metrics_of_string = Codec.of_string metrics_codec
 
 type cache = { store : Result_store.t; refresh : bool }
 
@@ -177,135 +129,61 @@ let cache ?(refresh = false) ~dir () = { store = Result_store.open_ ~dir; refres
 
 let default_cache_dir = "_hcsgc_cache"
 
+(* ------------------------------------------------------------------ *)
+(* The sweep engine                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type ('job, 'out) spec = {
+  fingerprint : 'job -> Fingerprint.t;
+  cost_key : 'job -> string;
+  compute : 'job -> 'out;
+  codec : 'out Codec.t;
+}
+
 (* A cache lookup that only ever says yes with a fully decoded payload:
-   an entry passing the store checksum but failing the metrics decoder is
-   counted invalid and treated as a miss, so it gets recomputed and
-   overwritten rather than crashing the sweep. *)
-let try_cached c ~verify job =
+   an entry passing the store checksum but failing the decoder is counted
+   invalid and treated as a miss, so it gets recomputed and overwritten
+   rather than crashing the sweep. *)
+let lookup c spec fp =
   if c.refresh then None
   else
-    match Result_store.find c.store (fingerprint ~verify job) with
+    match Result_store.find c.store fp with
     | None -> None
     | Some payload -> (
-        match metrics_of_string payload with
-        | Some m -> Some m
+        match Codec.of_string spec.codec payload with
+        | Some _ as hit -> hit
         | None ->
             Result_store.note_invalid c.store;
             None)
 
-(* ------------------------------------------------------------------ *)
-(* Execution                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let execute_vm ~verify { exp; config_id; run } =
-  let config = Config.of_id config_id in
-  let vm = exp.make_vm config in
-  if verify then Vm.enable_verification vm;
-  exp.workload vm ~run;
-  Vm.finish vm;
-  collect vm
-
-let compute_and_store c ~verify job =
-  let t0 = Unix.gettimeofday () in
-  let m = execute_vm ~verify job in
-  let cost = Unix.gettimeofday () -. t0 in
-  Result_store.add c.store (fingerprint ~verify job) ~cost_key:(cost_key job)
-    ~cost (metrics_to_string m);
-  m
-
-let execute ?(verify = false) ?cache job =
-  match cache with
-  | None -> execute_vm ~verify job
-  | Some c -> (
-      match try_cached c ~verify job with
-      | Some m -> m
-      | None -> compute_and_store c ~verify job)
-
-let profile ?sample_interval ?(verify = false) ?cache { exp; config_id; run } =
-  let config = Config.of_id config_id in
-  let vm = exp.make_vm config in
-  if verify then Vm.enable_verification vm;
-  let recorder = Vm.enable_telemetry ?sample_interval vm in
-  let t0 = Unix.gettimeofday () in
-  exp.workload vm ~run;
-  Vm.finish vm;
-  let cost = Unix.gettimeofday () -. t0 in
-  let m = collect vm in
-  (* A profiled run's metrics are bit-identical to an unprofiled one
-     (telemetry charges no simulated cycles), so profiling may seed the
-     store for later sweeps.  The trace itself is not cached. *)
-  (match cache with
-  | None -> ()
-  | Some c ->
-      let job = { exp; config_id; run } in
-      Result_store.add c.store (fingerprint ~verify job)
-        ~cost_key:(cost_key job) ~cost (metrics_to_string m));
-  (m, recorder)
-
-(* Group a job-ordered flat metrics list back into per-configuration
-   arrays.  [jobs_of] emits [runs] consecutive jobs per id, so this is a
-   plain in-order split — no reordering, hence deterministic. *)
-let regroup ~ids ~runs metrics =
-  let rec split n = function
-    | rest when n = 0 -> ([], rest)
-    | [] -> invalid_arg "Runner.regroup: short metrics list"
-    | m :: rest ->
-        let chunk, rest = split (n - 1) rest in
-        (m :: chunk, rest)
-  in
-  let rec go ids metrics =
-    match ids with
-    | [] -> []
-    | id :: ids ->
-        let chunk, rest = split runs metrics in
-        (id, Array.of_list chunk) :: go ids rest
-  in
-  go ids metrics
-
-let run_configs ?config_ids ?(progress = fun _ -> ()) ?(jobs = 1)
-    ?(verify = false) ?cache ?(scheduling = `Cost) ~runs exp =
-  let ids =
-    match config_ids with
-    | Some ids -> ids
-    | None -> List.map fst Config.table2
-  in
-  let job_arr = Array.of_list (jobs_of ~config_ids:ids ~runs exp) in
+let run_jobs ?(jobs = 1) ?cache ?(scheduling = `Cost) spec job_arr =
   let n = Array.length job_arr in
-  (* Progress lines go through a Reporter so concurrent workers cannot
-     interleave them mid-line; each configuration that actually computes
-     is announced once, by whichever of its jobs starts first (fully
-     cached configurations stay silent). *)
-  let reporter = Reporter.create ~emit:progress () in
-  let announced = Array.map (fun _ -> Atomic.make false) (Array.of_list ids) in
-  let index_of = Hashtbl.create 32 in
-  List.iteri (fun i id -> Hashtbl.replace index_of id i) ids;
-  let announce job =
-    match Hashtbl.find_opt index_of job.config_id with
-    | Some i when Atomic.compare_and_set announced.(i) false true ->
-        Reporter.sayf reporter "%s: config %d (%s)" job.exp.name job.config_id
-          (Config.to_string (Config.of_id job.config_id))
-    | _ -> ()
+  let fps =
+    match cache with
+    | Some _ -> Array.map spec.fingerprint job_arr
+    | None -> [||]
   in
   (* Resolve cache hits up front on the calling domain: hits cost
      milliseconds, and knowing the miss set lets the scheduler order real
      work only. *)
   let cached =
     match cache with
-    | Some c -> Array.map (fun job -> try_cached c ~verify job) job_arr
+    | Some c -> Array.map (lookup c spec) fps
     | None -> Array.make n None
   in
   let hit_idx, miss_idx =
-    List.init n Fun.id
-    |> List.partition (fun i -> Option.is_some cached.(i))
+    List.init n Fun.id |> List.partition (fun i -> Option.is_some cached.(i))
   in
   let miss = Array.of_list miss_idx in
   let scheduled_misses =
     match (scheduling, cache) with
     | `Cost, Some c ->
         let estimate k =
-          Result_store.estimate c.store ~cost_key:(cost_key job_arr.(miss.(k)))
+          Result_store.estimate c.store
+            ~cost_key:(spec.cost_key job_arr.(miss.(k)))
         in
-        Array.map (fun k -> miss.(k))
+        Array.map
+          (fun k -> miss.(k))
           (Scheduler.order ~estimate (Array.length miss))
     | _ -> miss
   in
@@ -313,17 +191,92 @@ let run_configs ?config_ids ?(progress = fun _ -> ()) ?(jobs = 1)
      worker; the computing jobs follow in scheduled order. *)
   let order = Array.append (Array.of_list hit_idx) scheduled_misses in
   let run_one i =
-    match cached.(i) with
-    | Some m -> m
-    | None ->
+    match (cached.(i), cache) with
+    | Some out, _ -> out
+    | None, None -> spec.compute job_arr.(i)
+    | None, Some c ->
         let job = job_arr.(i) in
-        announce job;
-        (match cache with
-        | Some c -> compute_and_store c ~verify job
-        | None -> execute_vm ~verify job)
+        let t0 = Unix.gettimeofday () in
+        let out = spec.compute job in
+        Result_store.add c.store fps.(i)
+          ~cost_key:(spec.cost_key job)
+          ~cost:(Unix.gettimeofday () -. t0)
+          (Codec.to_string spec.codec out);
+        out
   in
-  let metrics =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
+  Pool.with_pool ~jobs (fun pool ->
+      Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
+
+let config_spec ~key ~verify ~compute codec =
+  {
+    fingerprint =
+      (fun (id, run) ->
+        Fingerprint.make ~experiment:key ~config:(config_key id) ~run ~verify);
+    cost_key = (fun (id, _) -> key ^ "#" ^ config_key id);
+    compute;
+    codec;
+  }
+
+let sweep ?jobs ?cache ?scheduling spec ~runs ~job groups =
+  let outs =
+    run_jobs ?jobs ?cache ?scheduling spec
+      (Array.of_list (List.concat_map (fun g -> List.init runs (job g)) groups))
   in
-  regroup ~ids ~runs (Array.to_list metrics)
+  List.mapi (fun i g -> (g, Array.sub outs (i * runs) runs)) groups
+
+(* ------------------------------------------------------------------ *)
+(* Table 2 sweeps                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let execute_vm ?(attach = ignore) ~verify { exp; config_id; run } =
+  let vm = exp.make_vm (Config.of_id config_id) in
+  if verify then Vm.enable_verification vm;
+  attach vm;
+  exp.workload vm ~run;
+  Vm.finish vm;
+  collect vm
+
+let job_spec ~verify =
+  { fingerprint = fingerprint ~verify; cost_key; compute = execute_vm ~verify;
+    codec = metrics_codec }
+
+let execute ?(verify = false) ?cache job =
+  (run_jobs ?cache (job_spec ~verify) [| job |]).(0)
+
+let profile ?sample_interval ?(verify = false) ?cache job =
+  let recorder = ref None in
+  let attach vm = recorder := Some (Vm.enable_telemetry ?sample_interval vm) in
+  (* A profiled run's metrics are bit-identical to an unprofiled one
+     (telemetry charges no simulated cycles), so profiling may seed the
+     store for later sweeps; the trace itself cannot come from the store,
+     so the job always simulates. *)
+  let m =
+    (run_jobs
+       ?cache:(Option.map (fun c -> { c with refresh = true }) cache)
+       { (job_spec ~verify) with compute = execute_vm ~attach ~verify }
+       [| job |]).(0)
+  in
+  (m, Option.get !recorder)
+
+let run_configs ?config_ids ?(progress = fun _ -> ()) ?jobs ?(verify = false)
+    ?cache ?scheduling ~runs exp =
+  (* Progress lines go through a Reporter so concurrent workers cannot
+     interleave them mid-line; each configuration that actually computes
+     is announced once, by whichever of its jobs starts first (fully
+     cached configurations stay silent). *)
+  let reporter = Reporter.create ~emit:progress () in
+  let announced =
+    List.map (fun (id, _) -> (id, Atomic.make false)) Config.table2
+  in
+  let compute job =
+    if Atomic.compare_and_set (List.assoc job.config_id announced) false true
+    then
+      Reporter.sayf reporter "%s: config %d (%s)" job.exp.name job.config_id
+        (Config.to_string (Config.of_id job.config_id));
+    execute_vm ~verify job
+  in
+  sweep ?jobs ?cache ?scheduling
+    { (job_spec ~verify) with compute }
+    ~runs
+    ~job:(fun config_id run -> { exp; config_id; run })
+    (Option.value config_ids ~default:table2_ids)

@@ -111,20 +111,80 @@ val cost_key : job -> string
 (** The job's cost-model key: one per (experiment key, knob vector) —
     the granularity at which durations are predictable. *)
 
+val metrics_codec : run_metrics Hcsgc_store.Codec.t
+(** The job payload stored under a fingerprint: magic line
+    [hcsgc-metrics 2], a line of the scalar fields ([%h] floats), a line
+    of the heap samples. *)
+
 val metrics_to_string : run_metrics -> string
-(** Versioned, lossless text serialization ([%h] floats); the payload
-    stored under the job's fingerprint. *)
+(** [Codec.to_string metrics_codec]. *)
 
 val metrics_of_string : string -> run_metrics option
-(** Strict inverse of {!metrics_to_string}; [None] on any malformation.
-    Round-trips every value bit-exactly. *)
+(** [Codec.of_string metrics_codec]: strict inverse of
+    {!metrics_to_string}, [None] on any malformation.  Round-trips every
+    value bit-exactly. *)
+
+(** {2 The sweep engine}
+
+    Every cached sweep in [hcsgc.experiments] runs through {!run_jobs}:
+    Table 2 sweeps ({!run_configs}), single jobs ({!execute},
+    {!profile}), the serving, tier and SPECjbb figures. *)
+
+type ('job, 'out) spec = {
+  fingerprint : 'job -> Hcsgc_store.Fingerprint.t;
+      (** content address (verify flag included) *)
+  cost_key : 'job -> string;  (** cost-model key for the scheduler *)
+  compute : 'job -> 'out;
+      (** simulate one job; called only on a miss, possibly on a worker
+          domain *)
+  codec : 'out Hcsgc_store.Codec.t;  (** the stored payload *)
+}
+
+val run_jobs :
+  ?jobs:int ->
+  ?cache:cache ->
+  ?scheduling:[ `Cost | `Fifo ] ->
+  ('job, 'out) spec ->
+  'job array ->
+  'out array
+(** Run every job, results in job order.  With [cache], hits are resolved
+    up front on the calling domain; an entry that passes the store
+    checksum but fails [codec] is counted by
+    {!Hcsgc_store.Result_store.note_invalid} and recomputed; every
+    computed job is stored (payload + duration).  Misses reach a pool of
+    [jobs] domains (default 1: the calling domain), hits first, then
+    misses longest-estimated-first under [scheduling = `Cost] (the
+    default; {!Hcsgc_store.Scheduler}) or in job order under [`Fifo].
+    Neither the cache nor the order changes a result. *)
+
+val config_spec :
+  key:string ->
+  verify:bool ->
+  compute:(int * int -> 'out) ->
+  'out Hcsgc_store.Codec.t ->
+  (int * int, 'out) spec
+(** The spec of jobs that are (Table 2 configuration id, run) pairs of
+    an experiment with parameter key [key], addressed and costed exactly
+    like {!job}s: for figures whose payload is not bare {!run_metrics}. *)
+
+val sweep :
+  ?jobs:int ->
+  ?cache:cache ->
+  ?scheduling:[ `Cost | `Fifo ] ->
+  ('job, 'out) spec ->
+  runs:int ->
+  job:('g -> int -> 'job) ->
+  'g list ->
+  ('g * 'out array) list
+(** {!run_jobs} over [runs] repetitions of each group: [job g run] for
+    [run = 0 .. runs-1], results regrouped per group in input order. *)
 
 (** {2 Execution} *)
 
 val execute : ?verify:bool -> ?cache:cache -> job -> run_metrics
-(** Run one job to completion: fresh VM, workload, {!Vm.finish},
-    {!collect}.  Pure function of the job (workloads are seeded by
-    [run]); safe to call from any domain.  [verify] (default [false])
+(** Run one job to completion through {!run_jobs}: fresh VM, workload,
+    {!Vm.finish}, {!collect}.  Pure function of the job (workloads are
+    seeded by [run]); safe to call from any domain.  [verify] (default [false])
     attaches the {!Hcsgc_verify.Invariants} heap sanitizer to the job's VM
     ({!Vm.enable_verification}); verification reads state only, so verified
     metrics are bit-identical to unverified ones.
@@ -178,15 +238,9 @@ val run_configs :
     over [n] worker domains; results are still aggregated in job order,
     so the returned metrics are bit-identical to the sequential run.
 
-    [cache] makes the sweep incremental: hits are resolved up front on the
-    calling domain, only misses are submitted to the pool, and every
-    computed job is stored (entry + duration) on completion.  [scheduling]
-    (default [`Cost]) submits misses longest-estimated-first using the
-    store's cost model ({!Hcsgc_store.Scheduler}); [`Fifo] keeps the
-    expansion order (the pre-scheduler baseline, kept measurable for
-    benchmarking).  With no [cache], or an empty cost model, [`Cost]
-    degrades to exactly FIFO.  Neither caching nor scheduling changes a
-    single output byte — results are woven back in job order either way.
+    [cache] and [scheduling] are {!run_jobs}'s: hits are served from the
+    store, misses computed and stored, longest-estimated-first by
+    default.  Neither changes a single output byte.
 
     {b Thread safety of [progress]:} calls are serialized through a
     {!Hcsgc_exec.Reporter}, so [progress] never runs concurrently with

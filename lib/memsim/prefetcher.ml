@@ -89,8 +89,3 @@ let observe_into t line buf =
     v.lru <- t.clock;
     0
   end
-
-let observe t line =
-  let buf = Array.make t.degree 0 in
-  let n = observe_into t line buf in
-  List.init n (fun i -> buf.(i))

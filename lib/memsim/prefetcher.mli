@@ -27,10 +27,5 @@ val observe_into : t -> int -> int array -> int
     into the cache levels.
     @raise Invalid_argument if [buf] is shorter than [degree t]. *)
 
-val observe : t -> int -> int list
-(** [observe t line] is {!observe_into} with the result as a list (empty if
-    no stream matched) — convenience for tests; allocates, so simulators
-    use {!observe_into}. *)
-
 val reset : t -> unit
 (** Forget all streams (between benchmark runs). *)

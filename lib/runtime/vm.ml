@@ -189,8 +189,6 @@ let check_m t m =
 
 (* Wall time follows the slowest mutator thread; pauses (and, on a
    saturated core, GC work) are serial additions. *)
-let mutator_cycles_sum t = Array.fold_left ( + ) 0 t.mut_clock
-
 let mutator_cycles_max t = Array.fold_left max 0 t.mut_clock
 
 (* The epoch barrier.  Replay fans over worker domains (task 0 runs here);
@@ -460,7 +458,6 @@ let mutator_clock t ~m =
   flush_epoch t;
   t.mut_clock.(m)
 
-let _ = mutator_cycles_sum
 let gc_cycles t = t.gc_cycles_
 let stw_cycles t = t.stw_cycles_
 let ops t = t.op_count

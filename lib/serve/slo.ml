@@ -114,47 +114,36 @@ let histogram requests =
     requests;
   counts
 
-let histogram_to_string counts =
-  String.concat " " (Array.to_list (Array.map string_of_int counts))
-
-let to_line r =
-  Printf.sprintf
-    "slo1 n=%d g=%d u=%d s=%d dur=%d thr=%h mean=%h p50=%d p95=%d p99=%d \
-     p999=%d max=%d slo=%d viol=%d pause=%d service=%d pcycles=%d"
-    r.requests r.gets r.updates r.scans r.duration r.throughput r.mean r.p50
-    r.p95 r.p99 r.p999 r.max_latency r.slo r.violations r.pause_attributed
-    r.service_attributed r.pause_cycles
-
-let of_line line =
-  match
-    Scanf.sscanf_opt line
-      "slo1 n=%d g=%d u=%d s=%d dur=%d thr=%h mean=%h p50=%d p95=%d p99=%d \
-       p999=%d max=%d slo=%d viol=%d pause=%d service=%d pcycles=%d"
+let codec =
+  Hcsgc_store.Codec.(
+    record
       (fun requests gets updates scans duration throughput mean p50 p95 p99
            p999 max_latency slo violations pause_attributed service_attributed
            pause_cycles ->
         {
-          requests;
-          gets;
-          updates;
-          scans;
-          duration;
-          throughput;
-          mean;
-          p50;
-          p95;
-          p99;
-          p999;
-          max_latency;
-          slo;
-          violations;
-          pause_attributed;
-          service_attributed;
-          pause_cycles;
+          requests; gets; updates; scans; duration; throughput; mean; p50;
+          p95; p99; p999; max_latency; slo; violations; pause_attributed;
+          service_attributed; pause_cycles;
         })
-  with
-  | Some r -> Ok r
-  | None -> Error (Printf.sprintf "Slo.of_line: unparseable %S" line)
+    |> lit "slo1"
+    |> field (labelled "n" int) (fun r -> r.requests)
+    |> field (labelled "g" int) (fun r -> r.gets)
+    |> field (labelled "u" int) (fun r -> r.updates)
+    |> field (labelled "s" int) (fun r -> r.scans)
+    |> field (labelled "dur" int) (fun r -> r.duration)
+    |> field (labelled "thr" float) (fun r -> r.throughput)
+    |> field (labelled "mean" float) (fun r -> r.mean)
+    |> field (labelled "p50" int) (fun r -> r.p50)
+    |> field (labelled "p95" int) (fun r -> r.p95)
+    |> field (labelled "p99" int) (fun r -> r.p99)
+    |> field (labelled "p999" int) (fun r -> r.p999)
+    |> field (labelled "max" int) (fun r -> r.max_latency)
+    |> field (labelled "slo" int) (fun r -> r.slo)
+    |> field (labelled "viol" int) (fun r -> r.violations)
+    |> field (labelled "pause" int) (fun r -> r.pause_attributed)
+    |> field (labelled "service" int) (fun r -> r.service_attributed)
+    |> field (labelled "pcycles" int) (fun r -> r.pause_cycles)
+    |> seal)
 
 let pp_histogram fmt counts =
   let total = Array.fold_left ( + ) 0 counts in

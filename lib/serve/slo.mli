@@ -49,17 +49,12 @@ val histogram : Serve.request array -> int array
     latency in [\[2^i, 2^(i+1))] (bucket 0 also counts 0 and 1); fixed
     length so equal workloads compare byte-for-byte. *)
 
-val histogram_to_string : int array -> string
-(** Space-joined counts — the determinism tests' byte-compare form. *)
-
 val pp_histogram : Format.formatter -> int array -> unit
 (** Render the non-empty buckets as cycle ranges with scaled bars. *)
 
-val to_line : report -> string
-(** One-line machine-readable codec (floats in hex), inverse of
-    {!of_line}. *)
-
-val of_line : string -> (report, string) result
+val codec : report Hcsgc_store.Codec.t
+(** The report as one [slo1 n=… g=… …] line, floats in [%h] — the head
+    of the serving figure's stored payload. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable report: percentiles in cycles and microseconds (at

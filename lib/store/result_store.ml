@@ -193,7 +193,12 @@ let estimate t ~cost_key =
       Hashtbl.find_opt t.costs (sanitize_key cost_key)
       |> Option.map (fun (n, s) -> s /. float_of_int n))
 
-let note_invalid t = with_lock t (fun () -> t.corrupt <- t.corrupt + 1)
+(* [find] counted the entry a hit; it is a corrupt miss after all. *)
+let note_invalid t =
+  with_lock t (fun () ->
+      t.hits <- t.hits - 1;
+      t.misses <- t.misses + 1;
+      t.corrupt <- t.corrupt + 1)
 
 let counters t =
   with_lock t (fun () ->

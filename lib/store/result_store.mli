@@ -56,8 +56,9 @@ val estimate : t -> cost_key:string -> float option
     was ever recorded here. *)
 
 val note_invalid : t -> unit
-(** Count one caller-detected invalid entry (e.g. the payload passed the
-    envelope checksum but failed the caller's decoder).  Callers should
+(** Count one caller-detected invalid entry: the payload {!find} just
+    returned passed the envelope checksum but failed the caller's
+    decoder.  That lookup is recounted as a corrupt miss.  Callers should
     treat such entries as misses and overwrite them via {!add}. *)
 
 type counters = {

@@ -8,7 +8,8 @@
     deterministic by construction.  Per-thread checksums make any
     cross-thread mixup observable.  This is the stress workload for the
     epoch-sharded execution model ({!Hcsgc_runtime.Vm.create}'s
-    [shard_domains]) and the [bench/shard] scaling microbench. *)
+    [shard_domains]), driven by the shard-count ladder in
+    [test/test_shard.ml]. *)
 
 type params = {
   mutators : int;  (** cooperative threads; must be <= the VM's mutators *)

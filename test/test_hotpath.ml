@@ -347,29 +347,6 @@ let prop_observe_into_matches_model =
           got = Model.observe model line)
         lines)
 
-let observe_wrapper_matches_into () =
-  (* The compat wrapper and the buffered path, driven in lockstep on twin
-     prefetchers, step for step. *)
-  let a = Prefetcher.create () in
-  let b = Prefetcher.create () in
-  let buf = Array.make (Prefetcher.degree b) 0 in
-  let stream =
-    List.concat
-      [ List.init 10 (fun i -> 100 + i);
-        List.init 10 (fun i -> 500 - i);
-        [ 3; 77; 3; 900 ];
-        List.init 6 (fun i -> 100 + (10 - 1) + i + 1) ]
-  in
-  List.iter
-    (fun line ->
-      let via_list = Prefetcher.observe a line in
-      let n = Prefetcher.observe_into b line buf in
-      let via_buf = List.init n (fun i -> buf.(i)) in
-      check (Alcotest.list Alcotest.int)
-        (Printf.sprintf "line %d" line)
-        via_list via_buf)
-    stream
-
 let suite =
   [
     ( "hotpath",
@@ -386,7 +363,5 @@ let suite =
         case "vm: load_ref allocates only its Some" `Quick
           load_ref_allocation_bounded;
         QCheck_alcotest.to_alcotest prop_observe_into_matches_model;
-        case "prefetcher: observe wrapper = observe_into" `Quick
-          observe_wrapper_matches_into;
       ] );
   ]

@@ -13,6 +13,7 @@ module Slo = Hcsgc_serve.Slo
 module Analyzer = Hcsgc_telemetry.Analyzer
 module Runner = Hcsgc_experiments.Runner
 module Fig_serve = Hcsgc_experiments.Fig_serve
+module Codec = Hcsgc_store.Codec
 
 let layout = Layout.scaled ~small_page:(16 * 1024)
 
@@ -53,8 +54,8 @@ let signature (r, pauses, metrics) =
     Slo.analyze ~slo:(5 * Slo.cycles_per_us)
       ~duration:small_params.Serve.duration ~pauses r
   in
-  Slo.to_line report ^ "|"
-  ^ Slo.histogram_to_string (Slo.histogram r.Serve.requests)
+  Codec.to_string Slo.codec report ^ "|"
+  ^ Codec.to_string Codec.int_array (Slo.histogram r.Serve.requests)
   ^ "|" ^ string_of_int r.Serve.checksum ^ "|" ^ metrics
 
 (* ------------------------------------------------------------------ *)
@@ -304,24 +305,6 @@ let slo_disabled () =
   Alcotest.(check int) "no violations when slo = 0" 0 r.Slo.violations;
   Alcotest.(check int) "p50 still reported" 1_000_000 r.Slo.p50
 
-let slo_codec_roundtrip () =
-  let requests =
-    [|
-      req ~arrival:0 ~wait:3 ~service:500 ~stall:7 ~w0:100 ();
-      req ~arrival:50 ~wait:0 ~service:900 ~w0:1_000 ();
-    |]
-  in
-  let r =
-    Slo.analyze ~slo:800 ~duration:123_456 ~pauses:[ (1, 5) ]
-      (result_of requests)
-  in
-  (match Slo.of_line (Slo.to_line r) with
-  | Ok r' -> Alcotest.(check string) "round-trip" (Slo.to_line r) (Slo.to_line r')
-  | Error e -> Alcotest.fail e);
-  match Slo.of_line "not a report" with
-  | Ok _ -> Alcotest.fail "parsed garbage"
-  | Error _ -> ()
-
 let slo_histogram_buckets () =
   let requests =
     [|
@@ -416,20 +399,6 @@ let fig_serve_verify_distinct_entries () =
         (Hcsgc_store.Result_store.counters cache.Runner.store)
           .Hcsgc_store.Result_store.stored)
 
-let fig_serve_outcome_codec () =
-  let results =
-    Fig_serve.sweep ~config_ids:[ 0 ] ~runs:1 ~params:fig_params ()
-  in
-  let o = (snd (List.hd results)).(0) in
-  match Fig_serve.outcome_of_string (Fig_serve.outcome_to_string o) with
-  | None -> Alcotest.fail "codec failed to round-trip"
-  | Some o' ->
-      Alcotest.(check string) "payload round-trips"
-        (Fig_serve.outcome_to_string o)
-        (Fig_serve.outcome_to_string o');
-      Alcotest.(check bool) "garbage rejected" true
-        (Fig_serve.outcome_of_string "hcsgc-serve-metrics 1\ngarbage" = None)
-
 let suite =
   [
     ( "serve",
@@ -456,14 +425,15 @@ let suite =
         Alcotest.test_case "slo: carry is per mutator" `Quick
           slo_carry_resets_per_mutator;
         Alcotest.test_case "slo: disabled threshold" `Quick slo_disabled;
-        Alcotest.test_case "slo: report codec" `Quick slo_codec_roundtrip;
+        Payload_props.roundtrip ~name:"slo: report codec" Slo.codec
+          Payload_props.slo_report;
         Alcotest.test_case "slo: histogram buckets" `Quick slo_histogram_buckets;
         Alcotest.test_case "fig_serve: -j determinism" `Quick
           fig_serve_jobs_determinism;
         Alcotest.test_case "fig_serve: warm replay" `Quick fig_serve_warm_replay;
         Alcotest.test_case "fig_serve: verify keys distinct" `Quick
           fig_serve_verify_distinct_entries;
-        Alcotest.test_case "fig_serve: outcome codec" `Quick
-          fig_serve_outcome_codec;
+        Payload_props.roundtrip ~name:"fig_serve: outcome codec" Fig_serve.codec
+          Payload_props.serve_outcome;
       ] );
   ]

@@ -1,5 +1,5 @@
 (* Tests for hcsgc.store and the incremental-sweep layer: fingerprint
-   sensitivity, the metrics codec, store robustness (truncation,
+   sensitivity, the payload codecs, store robustness (truncation,
    bit-flips, refresh), cost-aware scheduling, and the end-to-end
    guarantee that warm sweeps render byte-identical figures. *)
 
@@ -132,28 +132,6 @@ let fingerprint_no_concatenation_collisions () =
 (* Metrics codec                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let arbitrary_metrics =
-  QCheck.make
-    QCheck.Gen.(
-      let f = map (fun (m, e) -> ldexp m e) (pair (float_bound_inclusive 1.0) (int_range (-30) 30)) in
-      let* wall = f and* loads = f and* l1 = f and* llc = f in
-      let* ml1 = f and* mllc = f and* far = f and* ec = f in
-      let* gc = int_bound 1000 and* rm = int_bound 10_000 and* rg = int_bound 10_000 in
-      let* pd = int_bound 10_000 and* pp = int_bound 10_000 in
-      let* samples = list_size (int_bound 20) (pair (int_bound 1_000_000) (int_bound 1_000_000)) in
-      return
-        {
-          Runner.wall; loads; l1_misses = l1; llc_misses = llc;
-          mut_l1_misses = ml1; mut_llc_misses = mllc; far_loads = far;
-          gc_cycle_count = gc; ec_median = ec; reloc_mut = rm; reloc_gc = rg;
-          pages_demoted = pd; pages_promoted = pp; heap_samples = samples;
-        })
-
-let prop_metrics_roundtrip =
-  QCheck.Test.make ~name:"store: metrics codec round-trips bit-exactly"
-    ~count:300 arbitrary_metrics (fun m ->
-      Runner.metrics_of_string (Runner.metrics_to_string m) = Some m)
-
 let codec_rejects_malformed () =
   let good = Runner.metrics_to_string (Runner.execute (job ())) in
   let reject name s =
@@ -162,7 +140,14 @@ let codec_rejects_malformed () =
   reject "empty" "";
   reject "wrong magic" ("nope\n" ^ good);
   reject "truncated" (String.sub good 0 (String.length good - 3));
-  reject "trailing garbage" (good ^ "junk")
+  reject "trailing garbage" (good ^ "junk");
+  let module Codec = Hcsgc_store.Codec in
+  check Alcotest.bool "garbage serve outcome" true
+    (Hcsgc_experiments.Fig_serve.outcome_of_string
+       "hcsgc-serve-metrics 1\ngarbage"
+    = None);
+  check Alcotest.bool "garbage slo line" true
+    (Codec.of_string Hcsgc_serve.Slo.codec "not a report" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Store robustness                                                    *)
@@ -365,6 +350,33 @@ let corrupt_entry_rerun_end_to_end () =
         (Result_store.mem cache.Runner.store
            (Runner.fingerprint ~verify:false (job ()))))
 
+let undecodable_entry_recomputed () =
+  (* An entry whose envelope checksum holds but whose payload no decoder
+     accepts: the engine counts it corrupt, recomputes the job, overwrites
+     the entry, and the sweep renders exactly as without a store. *)
+  let ids = [ 0; 16 ] in
+  let plain = render (Runner.run_configs ~config_ids:ids ~runs:1 tiny_experiment) in
+  with_temp_dir (fun dir ->
+      let cache = Runner.cache ~dir () in
+      let fp = Runner.fingerprint ~verify:false (job ~config_id:16 ()) in
+      Result_store.add cache.Runner.store fp ~cost:0.0
+        "hcsgc-metrics 2\nnot metrics\n";
+      let swept =
+        render (Runner.run_configs ~config_ids:ids ~runs:1 ~cache tiny_experiment)
+      in
+      check Alcotest.string "sweep output unchanged" plain swept;
+      let c = Result_store.counters cache.Runner.store in
+      check Alcotest.int "no hits" 0 c.Result_store.hits;
+      check Alcotest.int "both jobs missed" 2 c.Result_store.misses;
+      check Alcotest.int "undecodable entry counted corrupt" 1
+        c.Result_store.corrupt;
+      check Alcotest.int "planted + two computed" 3 c.Result_store.stored;
+      match Result_store.find cache.Runner.store fp with
+      | Some payload ->
+          check Alcotest.bool "entry overwritten with decodable metrics" true
+            (Runner.metrics_of_string payload <> None)
+      | None -> Alcotest.fail "recomputed entry missing")
+
 (* ------------------------------------------------------------------ *)
 (* Sharded execution and the store                                     *)
 (* ------------------------------------------------------------------ *)
@@ -469,7 +481,12 @@ let suite =
       ] );
     ( "store.codec",
       [
-        QCheck_alcotest.to_alcotest prop_metrics_roundtrip;
+        Payload_props.roundtrip
+          ~name:"store: metrics codec round-trips bit-exactly"
+          Runner.metrics_codec Payload_props.metrics;
+        Payload_props.roundtrip
+          ~name:"specjbb: outcome codec round-trips bit-exactly"
+          Hcsgc_experiments.Fig_specjbb.codec Payload_props.specjbb_outcome;
         case "rejects malformed payloads" `Quick codec_rejects_malformed;
       ] );
     ( "store.robustness",
@@ -481,6 +498,8 @@ let suite =
           execute_caches_and_refresh_recomputes;
         case "cost model learns and persists" `Quick cost_model_learns_and_persists;
         case "corrupt entry re-runs end to end" `Quick corrupt_entry_rerun_end_to_end;
+        case "undecodable entry recomputed by the engine" `Quick
+          undecodable_entry_recomputed;
       ] );
     ( "store.scheduling",
       [

@@ -352,7 +352,10 @@ let render_sweep results =
          List.concat_map
            (fun (cap, outcomes) ->
              Printf.sprintf "%s@%d" fam cap
-             :: Array.to_list (Array.map Fig_tier.outcome_to_string outcomes))
+             :: Array.to_list
+                  (Array.map
+                     (Hcsgc_store.Codec.to_string Fig_tier.codec)
+                     outcomes))
            caps)
        results)
 
@@ -378,26 +381,6 @@ let tier_sweep_warm_store_identical () =
         after_warm.Result_store.stored;
       check Alcotest.int "warm sweep all hits" 8
         (after_warm.Result_store.hits - after_cold.Result_store.hits))
-
-let prop_outcome_roundtrip =
-  QCheck.Test.make ~name:"tier: outcome codec round-trips bit-exactly"
-    ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         let f =
-           map (fun (m, e) -> ldexp m e)
-             (pair (float_bound_inclusive 1.0) (int_range (-30) 30))
-         in
-         let* wall = f and* loads = f and* llc_misses = f and* far_loads = f in
-         let* far_peak = int_bound 1_000_000 in
-         let* demoted = int_bound 10_000 and* promoted = int_bound 10_000 in
-         return
-           {
-             Fig_tier.wall; loads; llc_misses; far_loads; far_peak; demoted;
-             promoted;
-           }))
-    (fun o ->
-      Fig_tier.outcome_of_string (Fig_tier.outcome_to_string o) = Some o)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -473,7 +456,9 @@ let suite =
         case "sweep -j4 = -j1" `Slow tier_sweep_jobs_identical;
         case "warm store replay byte-identical" `Slow
           tier_sweep_warm_store_identical;
-        QCheck_alcotest.to_alcotest prop_outcome_roundtrip;
+        Payload_props.roundtrip
+          ~name:"tier: outcome codec round-trips bit-exactly" Fig_tier.codec
+          Payload_props.tier_outcome;
       ] );
     ( "tier.faults",
       [
