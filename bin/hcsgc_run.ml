@@ -2,14 +2,18 @@
    paper's tables and figures.
 
    Examples:
-     hcsgc-run synthetic --config 16 --elements 50000
+     hcsgc-run synthetic --config 16 --scale 2
      hcsgc-run synthetic --all-configs --runs 5
      hcsgc-run graph --algo mc --dataset uk --config 4
      hcsgc-run h2 --config 7
      hcsgc-run specjbb --config 0
      hcsgc-run figure                     # every table and figure
      hcsgc-run figure f4 f12 -j 4         # selected artefacts
-     hcsgc-run figure f9 --runs 5 --scale 2 *)
+     hcsgc-run figure f9 --runs 5 --scale 2
+
+   Every flag is declared once below and shared by the commands that read
+   it.  A command accepts only the flags it reads, and an out-of-range
+   value is a usage error (exit 124) before any simulation starts. *)
 
 open Cmdliner
 module E = Hcsgc_experiments
@@ -22,46 +26,52 @@ module H = Hcsgc_memsim.Hierarchy
 let fmt = Format.std_formatter
 
 (* ------------------------------------------------------------------ *)
-(* Common options                                                      *)
+(* Converters                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let config_id =
-  let doc = "Table 2 configuration id (0-18); 0 is unmodified ZGC." in
-  Arg.(value & opt int 0 & info [ "config"; "c" ] ~docv:"ID" ~doc)
-
-let all_configs =
-  let doc = "Sweep all 19 configurations and print the figure panels." in
-  Arg.(value & flag & info [ "all-configs"; "a" ] ~doc)
-
-(* Integer flags with a lower bound: an out-of-range value is a usage
-   error (exit 124) before any command runs. *)
-let int_at_least lo =
+(* [conv] restricted to the values satisfying [ok]. *)
+let checked conv ~ok ~expected =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= lo -> Ok n
-    | Ok _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s lo))
-    | Error _ as e -> e
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (Printf.sprintf "invalid value '%s', expected %s" s expected)
+    | Error (`Msg e) -> Error e
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv' (parse, Arg.conv_printer conv)
+
+let int_at_least lo =
+  checked Arg.int ~ok:(fun n -> n >= lo)
+    ~expected:(Printf.sprintf "an integer >= %d" lo)
 
 let positive = int_at_least 1
 let non_negative = int_at_least 0
 
-let runs =
-  let doc = "Sample size per configuration (with --all-configs)." in
-  Arg.(value & opt positive 3 & info [ "runs" ] ~docv:"N" ~doc)
+let positive_float =
+  checked Arg.float ~ok:(fun x -> x > 0.0) ~expected:"a positive number"
 
-let jobs =
-  let doc =
-    "Worker domains for sweeps (with --all-configs). The default is the \
-     machine's recommended domain count, clamped. Results are aggregated \
-     in job order, so output is identical at any $(docv)."
+(* A flag in one of the library's CLI spellings (key distribution, arrival
+   process, request mix), parsed by [of_string]; the spelling is kept only
+   to print the default in --help. *)
+let spelled of_string default_spelling arg_info =
+  let parse s = Result.map (fun v -> (s, v)) (of_string s) in
+  let print ppf (s, _) = Format.pp_print_string ppf s in
+  let default = (default_spelling, Result.get_ok (of_string default_spelling)) in
+  Term.(const snd $ Arg.(value & opt (conv' (parse, print)) default arg_info))
+
+(* ------------------------------------------------------------------ *)
+(* Shared flags and terms                                              *)
+(* ------------------------------------------------------------------ *)
+
+let config_id =
+  let doc = "Table 2 configuration id (0-18); 0 is unmodified ZGC." in
+  let id =
+    checked Arg.int
+      ~ok:(fun n -> n >= 0 && n < Config.id_count)
+      ~expected:(Printf.sprintf "a Table 2 id (0-%d)" (Config.id_count - 1))
   in
-  Arg.(value
-      & opt positive (Hcsgc_exec.Pool.default_jobs ())
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt id 0 & info [ "config"; "c" ] ~docv:"ID" ~doc)
+
+let config = Term.(const Config.of_id $ config_id)
 
 let scale =
   let doc = "Divide workload size by $(docv)." in
@@ -81,31 +91,11 @@ let shard_domains =
   in
   Arg.(value & opt non_negative 0 & info [ "shard-domains" ] ~docv:"N" ~doc)
 
-let saturated =
-  let doc = "Pin mutator and GC to a single core (Fig. 6 setup)." in
-  Arg.(value & flag & info [ "saturated" ] ~doc)
-
 let seed =
   let doc = "Workload seed." in
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let gc_log_flag =
-  let doc = "Print the structured GC event log after the run." in
-  Arg.(value & flag & info [ "gc-log" ] ~doc)
-
-let trace_out =
-  let doc =
-    "Write a Chrome trace-event JSON profile of the run to $(docv) \
-     (load it in Perfetto or chrome://tracing), plus a CSV counter \
-     time-series and a plain-text summary next to it."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
-let trace_sample =
-  let doc = "Counter sampling interval in simulated cycles (with --trace-out)." in
-  Arg.(value & opt int 50_000 & info [ "trace-sample" ] ~docv:"N" ~doc)
-
-let verify_flag =
+let verify =
   let doc =
     "Run under the heap sanitizer: full-heap invariant verification plus \
      the differential mark-sweep oracle at every GC phase boundary. \
@@ -115,51 +105,91 @@ let verify_flag =
   in
   Arg.(value & flag & info [ "verify" ] ~doc)
 
-let cache_dir =
+let runs =
+  let doc = "Sample size per configuration in a sweep." in
+  Arg.(value & opt positive 3 & info [ "runs" ] ~docv:"N" ~doc)
+
+let jobs =
   let doc =
-    "Persistent result store for sweep jobs (with --all-configs). Jobs \
-     are content-addressed by experiment parameters, configuration \
-     knobs, seed and verify flag; warm sweeps are byte-identical to cold \
-     ones and only faster."
+    "Worker domains for sweeps. The default is the machine's recommended \
+     domain count, clamped. Results are aggregated in job order, so output \
+     is identical at any $(docv)."
   in
   Arg.(value
-      & opt string E.Runner.default_cache_dir
-      & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+      & opt positive (Hcsgc_exec.Pool.default_jobs ())
+      & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let no_cache =
-  let doc = "Disable the result store entirely." in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
+(* --all-configs with its sample size and worker count; [None] is a
+   single run under --config. *)
+type sweep = { runs : int; jobs : int }
 
-let refresh_flag =
-  let doc =
-    "Recompute every job and overwrite its result-store entry (use after \
-     changes the fingerprint cannot see, e.g. to re-measure timings)."
+let sweep =
+  let all_configs =
+    let doc = "Sweep all 19 configurations and print the figure panels." in
+    Arg.(value & flag & info [ "all-configs"; "a" ] ~doc)
   in
-  Arg.(value & flag & info [ "refresh" ] ~doc)
+  let sweep all runs jobs = if all then Some { runs; jobs } else None in
+  Term.(const sweep $ all_configs $ runs $ jobs)
 
-let cache_of ~no_cache ~refresh ~cache_dir =
-  if no_cache then None
-  else Some (E.Runner.cache ~refresh ~dir:cache_dir ())
-
-(* Far-memory tier knobs, accepted by every workload command.  Default
-   off (capacity 0), which leaves each command's output byte-identical to
-   the tier-free build. *)
-
-let tier_capacity =
-  let doc =
-    "Far-memory tier capacity in small pages; 0 (default) disables \
-     tiering. Cold pages (no hot evidence across a GC cycle) are demoted \
-     behind DRAM at mark end and promoted back on barrier access. \
-     Requires a HOTNESS configuration."
+(* The persistent result store: [None] under --no-cache. *)
+let cache =
+  let dir =
+    let doc =
+      "Persistent result store for sweep jobs and profiled runs. Jobs \
+       are content-addressed by experiment parameters, configuration \
+       knobs, seed and verify flag; warm sweeps are byte-identical to cold \
+       ones and only faster."
+    in
+    Arg.(value
+        & opt string E.Runner.default_cache_dir
+        & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
-  Arg.(value & opt int 0 & info [ "tier-capacity" ] ~docv:"PAGES" ~doc)
+  let no_cache =
+    let doc = "Disable the result store entirely." in
+    Arg.(value & flag & info [ "no-cache" ] ~doc)
+  in
+  let refresh =
+    let doc =
+      "Recompute every job and overwrite its result-store entry (use after \
+       changes the fingerprint cannot see, e.g. to re-measure timings)."
+    in
+    Arg.(value & flag & info [ "refresh" ] ~doc)
+  in
+  let cache_of dir no_cache refresh =
+    if no_cache then None else Some (E.Runner.cache ~refresh ~dir ())
+  in
+  Term.(const cache_of $ dir $ no_cache $ refresh)
 
-let lat_far_arg =
+type trace = { out : string option; sample : int }
+
+let trace =
+  let out =
+    let doc =
+      "Write a Chrome trace-event JSON profile of the run to $(docv) \
+       (load it in Perfetto or chrome://tracing), plus a CSV counter \
+       time-series and a plain-text summary next to it."
+    in
+    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  in
+  let sample =
+    let doc =
+      "Counter sampling interval in simulated cycles (with --trace-out)."
+    in
+    Arg.(value & opt positive 50_000 & info [ "trace-sample" ] ~docv:"N" ~doc)
+  in
+  Term.(const (fun out sample -> { out; sample }) $ out $ sample)
+
+(* Far-memory tier knobs.  Default off (capacity 0), which leaves each
+   command's output byte-identical to the tier-free build. *)
+
+let lat_far =
   let doc =
     "Far-tier access latency in cycles (a demand load into a far-resident \
      line pays $(docv) instead of DRAM latency)."
   in
-  Arg.(value & opt int 800 & info [ "lat-far" ] ~docv:"CYCLES" ~doc)
+  Arg.(value
+      & opt positive E.Fig_tier.default_lat_far
+      & info [ "lat-far" ] ~docv:"CYCLES" ~doc)
 
 let tier_no_promote =
   let doc =
@@ -168,25 +198,38 @@ let tier_no_promote =
   in
   Arg.(value & flag & info [ "tier-no-promote" ] ~doc)
 
-let apply_tier ~capacity ~lat_far ~no_promote config =
-  if capacity = 0 then config
-  else
-    match
-      Config.validate
-        {
-          config with
-          Config.tier_capacity_pages = capacity;
-          lat_far;
-          tier_promote = not no_promote;
-        }
-    with
-    | Ok c -> c
-    | Error e ->
-        Format.eprintf "invalid tier flags: %s@." e;
-        exit 2
+(* --config with the tier flags folded in: the id and its checked
+   Config.t.  An invalid combination (a tier without HOTNESS) is a usage
+   error. *)
+let tiered_config =
+  let capacity =
+    let doc =
+      "Far-memory tier capacity in small pages; 0 (default) disables \
+       tiering. Cold pages (no hot evidence across a GC cycle) are demoted \
+       behind DRAM at mark end and promoted back on barrier access. \
+       Requires a HOTNESS configuration."
+    in
+    Arg.(value & opt non_negative 0 & info [ "tier-capacity" ] ~docv:"PAGES" ~doc)
+  in
+  let fold id capacity lat_far no_promote =
+    let config =
+      {
+        (Config.of_id id) with
+        Config.tier_capacity_pages = capacity;
+        lat_far;
+        tier_promote = not no_promote;
+      }
+    in
+    match Config.validate config with
+    | Ok config -> Ok (id, config)
+    | Error e -> Error (Printf.sprintf "--config %d with tier flags: %s" id e)
+  in
+  Term.(
+    term_result' ~usage:true
+      (const fold $ config_id $ capacity $ lat_far $ tier_no_promote))
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry artefacts                                                 *)
+(* Reports and telemetry artefacts                                     *)
 (* ------------------------------------------------------------------ *)
 
 module Tel = Hcsgc_telemetry
@@ -241,206 +284,150 @@ let report_single vm =
         (Gc_stats.pages_promoted st)
         (Hcsgc_memsim.Tier.peak_bytes t / 1024)
 
-let store_line store =
-  let s = Hcsgc_store.Result_store.counters store in
-  Tel.Summary.store_line
-    ~dir:(Hcsgc_store.Result_store.dir store)
-    ~hits:s.Hcsgc_store.Result_store.hits
-    ~misses:s.Hcsgc_store.Result_store.misses
-    ~corrupt:s.Hcsgc_store.Result_store.corrupt
-    ~stored:s.Hcsgc_store.Result_store.stored
-    ~bytes_read:s.Hcsgc_store.Result_store.bytes_read
-    ~bytes_written:s.Hcsgc_store.Result_store.bytes_written
-
-let run_experiment ?trace_out ?(trace_sample = 50_000) ?(verify = false)
-    ?cache ?(tier = (0, 800, false)) ~all ~runs ~jobs ~config_id
-    (exp : E.Runner.experiment) =
-  let tier_cap, tier_lat, tier_nop = tier in
-  if all then begin
-    if trace_out <> None then
-      Format.eprintf "[run] --trace-out ignored with --all-configs@.";
-    if tier_cap > 0 then
-      Format.eprintf
-        "[run] tier flags ignored with --all-configs (Table 2 sweep; use \
-         the tier command for capacity sweeps)@.";
-    let results =
-      E.Runner.run_configs ~runs ~jobs ~verify ?cache
-        ~progress:(fun m -> Format.eprintf "[run] %s@." m)
-        exp
-    in
-    E.Report.figure fmt ~title:exp.E.Runner.name
-      ~expectation:"(ad-hoc sweep; see hcsgc-run figure for paper figures)"
-      results;
-    match cache with
-    | Some c -> Format.eprintf "[run] %s@." (store_line c.E.Runner.store)
-    | None -> ()
-  end
-  else begin
-    let config =
-      apply_tier ~capacity:tier_cap ~lat_far:tier_lat ~no_promote:tier_nop
-        (Config.of_id config_id)
-    in
-    Format.fprintf fmt "workload %s under config %d (%s)%s@." exp.E.Runner.name
-      config_id (Config.to_string config)
-      (if verify then " [verified]" else "");
-    let vm = exp.E.Runner.make_vm config in
-    if verify then Vm.enable_verification vm;
-    let recorder =
-      match trace_out with
-      | None -> None
-      | Some _ ->
-          Some (Vm.enable_telemetry ~sample_interval:trace_sample vm)
-    in
-    exp.E.Runner.workload vm ~run:0;
-    Vm.finish vm;
-    report_single vm;
-    match (trace_out, recorder) with
-    | Some path, Some recorder -> emit_artifacts ~trace_out:path recorder
-    | _ -> ()
-  end
+(* The result store's hits/misses line, on stderr after a sweep. *)
+let report_store tag cache =
+  let module R = Hcsgc_store.Result_store in
+  Option.iter
+    (fun c ->
+      let store = c.E.Runner.store in
+      let s = R.counters store in
+      Format.eprintf "[%s] %s@." tag
+        (Tel.Summary.store_line ~dir:(R.dir store) ~hits:s.R.hits
+           ~misses:s.R.misses ~corrupt:s.R.corrupt ~stored:s.R.stored
+           ~bytes_read:s.R.bytes_read ~bytes_written:s.R.bytes_written))
+    cache
 
 (* ------------------------------------------------------------------ *)
-(* synthetic                                                           *)
+(* synthetic / graph / h2 / tradebeans: one experiment, run or swept   *)
 (* ------------------------------------------------------------------ *)
+
+let run_experiment (exp : E.Runner.experiment) (config_id, config) sweep trace
+    verify cache =
+  match sweep with
+  | Some { runs; jobs } ->
+      if trace.out <> None then
+        Format.eprintf "[run] --trace-out ignored with --all-configs@.";
+      if config.Config.tier_capacity_pages > 0 then
+        Format.eprintf
+          "[run] tier flags ignored with --all-configs (Table 2 sweep; use \
+           the tier command for capacity sweeps)@.";
+      let results =
+        E.Runner.run_configs ~runs ~jobs ~verify ?cache
+          ~progress:(fun m -> Format.eprintf "[run] %s@." m)
+          exp
+      in
+      E.Report.figure fmt ~title:exp.E.Runner.name
+        ~expectation:"(ad-hoc sweep; see hcsgc-run figure for paper figures)"
+        results;
+      report_store "run" cache
+  | None -> (
+      Format.fprintf fmt "workload %s under config %d (%s)%s@." exp.E.Runner.name
+        config_id (Config.to_string config)
+        (if verify then " [verified]" else "");
+      let vm = exp.E.Runner.make_vm config in
+      if verify then Vm.enable_verification vm;
+      let recorder =
+        Option.map
+          (fun _ -> Vm.enable_telemetry ~sample_interval:trace.sample vm)
+          trace.out
+      in
+      exp.E.Runner.workload vm ~run:0;
+      Vm.finish vm;
+      report_single vm;
+      match (trace.out, recorder) with
+      | Some path, Some recorder -> emit_artifacts ~trace_out:path recorder
+      | _ -> ())
+
+(* A workload command: the shared flags plus the command's own
+   [experiment] term.  An experiment that rejects its parameters
+   ([Invalid_argument]) is a usage error. *)
+let workload_cmd name ~doc
+    (experiment : (scale:int -> shard_domains:int -> E.Runner.experiment) Term.t)
+    =
+  let build make scale shard_domains =
+    try Ok (make ~scale ~shard_domains) with Invalid_argument e -> Error e
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run_experiment
+      $ term_result' ~usage:true
+          (const build $ experiment $ scale $ shard_domains)
+      $ tiered_config $ sweep $ trace $ verify $ cache)
 
 let synthetic_cmd =
-  let elements =
-    Arg.(value & opt int 100_000 & info [ "elements" ] ~docv:"N"
-           ~doc:"Array length.")
-  in
   let phases =
-    Arg.(value & opt int 1 & info [ "phases" ] ~docv:"P"
+    Arg.(value & opt positive 1 & info [ "phases" ] ~docv:"P"
            ~doc:"Access-pattern phases (Fig. 5 uses 3).")
   in
   let cold_ratio =
-    Arg.(value & opt int 0 & info [ "cold-ratio" ] ~docv:"R"
+    Arg.(value & opt non_negative 0 & info [ "cold-ratio" ] ~docv:"R"
            ~doc:"Never-accessed cold elements per hot element (Fig. 6 uses 10).")
   in
-  let run config_id all runs jobs scale saturated shard_domains _seed elements
-      phases cold_ratio trace_out trace_sample verify cache_dir no_cache
-      refresh tier_cap tier_lat tier_nop =
-    let scale = max 1 (scale * (100_000 / max 1 elements)) in
-    let exp =
-      E.Fig_synthetic.experiment ~phases ~cold_ratio ~saturated ~shard_domains
-        ~scale ()
+  let saturated =
+    let doc =
+      "Pin mutator and GC to a single core: the core pinning of Fig. 6's \
+       setup (profile --exp f6 runs the full setup). Cannot be combined \
+       with --shard-domains."
     in
-    run_experiment ?trace_out ~trace_sample ~verify
-      ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
-      ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id exp
+    Arg.(value & flag & info [ "saturated" ] ~doc)
   in
-  Cmd.v
-    (Cmd.info "synthetic" ~doc:"The paper's synthetic micro-benchmark (§4.4)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ shard_domains $ seed $ elements $ phases $ cold_ratio $ trace_out
-      $ trace_sample $ verify_flag $ cache_dir $ no_cache $ refresh_flag
-      $ tier_capacity $ lat_far_arg $ tier_no_promote)
-
-(* ------------------------------------------------------------------ *)
-(* graph                                                               *)
-(* ------------------------------------------------------------------ *)
+  let experiment phases cold_ratio saturated ~scale ~shard_domains =
+    if saturated && shard_domains > 0 then
+      invalid_arg "--saturated runs on one core; it cannot be sharded";
+    E.Fig_synthetic.experiment ~phases ~cold_ratio ~saturated ~shard_domains
+      ~scale ()
+  in
+  workload_cmd "synthetic" ~doc:"The paper's synthetic micro-benchmark (§4.4)"
+    Term.(const experiment $ phases $ cold_ratio $ saturated)
 
 let graph_cmd =
   let algo =
-    let parse = function
-      | "cc" -> Ok `Cc
-      | "mc" -> Ok `Mc
-      | s -> Error (`Msg ("unknown algorithm: " ^ s))
-    in
-    let print fmt a =
-      Format.pp_print_string fmt (match a with `Cc -> "cc" | `Mc -> "mc")
-    in
     Arg.(value
-        & opt (conv (parse, print)) `Cc
+        & opt (enum [ ("cc", `Cc); ("mc", `Mc) ]) `Cc
         & info [ "algo" ] ~docv:"cc|mc" ~doc:"Connected components or maximal cliques.")
   in
   let dataset =
-    let parse = function
-      | "uk" -> Ok `Uk
-      | "enwiki" -> Ok `Enwiki
-      | s -> Error (`Msg ("unknown dataset: " ^ s))
-    in
-    let print fmt d =
-      Format.pp_print_string fmt (match d with `Uk -> "uk" | `Enwiki -> "enwiki")
-    in
     Arg.(value
-        & opt (conv (parse, print)) `Uk
+        & opt (enum [ ("uk", `Uk); ("enwiki", `Enwiki) ]) `Uk
         & info [ "dataset" ] ~docv:"uk|enwiki" ~doc:"Table 3 input (generator stand-in).")
   in
-  let run config_id all runs jobs scale _saturated shard_domains _seed algo
-      dataset trace_out trace_sample verify cache_dir no_cache refresh
-      tier_cap tier_lat tier_nop =
+  let experiment algo dataset ~scale ~shard_domains =
     let module D = Hcsgc_graph.Dataset in
-    let exp =
-      match (algo, dataset) with
-      | `Cc, `Uk ->
-          E.Fig_graph.cc_experiment ~shard_domains ~dataset:D.uk_cc
-            ~scale:(4 * scale) ()
-      | `Cc, `Enwiki ->
-          E.Fig_graph.cc_experiment ~shard_domains ~dataset:D.enwiki_cc
-            ~scale:(4 * scale) ()
-      | `Mc, `Uk ->
-          E.Fig_graph.mc_experiment ~shard_domains ~dataset:D.uk_mc
-            ~scale:(2 * scale) ()
-      | `Mc, `Enwiki ->
-          E.Fig_graph.mc_experiment ~shard_domains ~dataset:D.enwiki_mc
-            ~scale:(2 * scale) ()
-    in
-    run_experiment ?trace_out ~trace_sample ~verify
-      ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
-      ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id exp
+    match (algo, dataset) with
+    | `Cc, `Uk ->
+        E.Fig_graph.cc_experiment ~shard_domains ~dataset:D.uk_cc
+          ~scale:(4 * scale) ()
+    | `Cc, `Enwiki ->
+        E.Fig_graph.cc_experiment ~shard_domains ~dataset:D.enwiki_cc
+          ~scale:(4 * scale) ()
+    | `Mc, `Uk ->
+        E.Fig_graph.mc_experiment ~shard_domains ~dataset:D.uk_mc
+          ~scale:(2 * scale) ()
+    | `Mc, `Enwiki ->
+        E.Fig_graph.mc_experiment ~shard_domains ~dataset:D.enwiki_mc
+          ~scale:(2 * scale) ()
   in
-  Cmd.v
-    (Cmd.info "graph" ~doc:"JGraphT-style graph workloads (§4.5)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ shard_domains $ seed $ algo $ dataset $ trace_out $ trace_sample
-      $ verify_flag $ cache_dir $ no_cache $ refresh_flag $ tier_capacity
-      $ lat_far_arg $ tier_no_promote)
-
-(* ------------------------------------------------------------------ *)
-(* h2 / tradebeans / specjbb                                           *)
-(* ------------------------------------------------------------------ *)
+  workload_cmd "graph" ~doc:"JGraphT-style graph workloads (§4.5)"
+    Term.(const experiment $ algo $ dataset)
 
 let h2_cmd =
-  let run config_id all runs jobs scale _ shard_domains _ trace_out
-      trace_sample verify cache_dir no_cache refresh tier_cap tier_lat
-      tier_nop =
-    run_experiment ?trace_out ~trace_sample ~verify
-      ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
-      ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id
-      (E.Fig_dacapo.h2_experiment ~shard_domains ~scale ())
-  in
-  Cmd.v
-    (Cmd.info "h2" ~doc:"In-memory-database workload (DaCapo h2 stand-in, §4.6)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ shard_domains $ seed $ trace_out $ trace_sample $ verify_flag
-      $ cache_dir $ no_cache $ refresh_flag $ tier_capacity $ lat_far_arg
-      $ tier_no_promote)
+  workload_cmd "h2" ~doc:"In-memory-database workload (DaCapo h2 stand-in, §4.6)"
+    (Term.const (fun ~scale ~shard_domains ->
+         E.Fig_dacapo.h2_experiment ~shard_domains ~scale ()))
 
 let tradebeans_cmd =
-  let run config_id all runs jobs scale _ shard_domains _ trace_out
-      trace_sample verify cache_dir no_cache refresh tier_cap tier_lat
-      tier_nop =
-    run_experiment ?trace_out ~trace_sample ~verify
-      ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
-      ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id
-      (E.Fig_dacapo.tradebeans_experiment ~shard_domains ~scale ())
-  in
-  Cmd.v
-    (Cmd.info "tradebeans"
-       ~doc:"Trading-session workload (DaCapo tradebeans stand-in, §4.6)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ shard_domains $ seed $ trace_out $ trace_sample $ verify_flag
-      $ cache_dir $ no_cache $ refresh_flag $ tier_capacity $ lat_far_arg
-      $ tier_no_promote)
+  workload_cmd "tradebeans"
+    ~doc:"Trading-session workload (DaCapo tradebeans stand-in, §4.6)"
+    (Term.const (fun ~scale ~shard_domains ->
+         E.Fig_dacapo.tradebeans_experiment ~shard_domains ~scale ()))
+
+(* ------------------------------------------------------------------ *)
+(* specjbb / lru                                                       *)
+(* ------------------------------------------------------------------ *)
 
 let specjbb_cmd =
-  let run config_id _all _runs scale _ shard_domains seed verify =
+  let run config scale shard_domains seed verify =
     let module S = Hcsgc_workloads.Specjbb_sim in
-    let config = Config.of_id config_id in
     let params = E.Fig_specjbb.experiment_params ~scale in
     let vm =
       Vm.create
@@ -463,14 +450,15 @@ let specjbb_cmd =
   in
   Cmd.v
     (Cmd.info "specjbb" ~doc:"SPECjbb2015-style ramping workload (§4.7)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ scale $ saturated
-      $ shard_domains $ seed $ verify_flag)
+    Term.(const run $ config $ scale $ shard_domains $ seed $ verify)
 
 let lru_cmd =
-  let run config_id gc_log seed verify =
+  let gc_log =
+    let doc = "Print the structured GC event log after the run." in
+    Arg.(value & flag & info [ "gc-log" ] ~doc)
+  in
+  let run config gc_log seed verify =
     let module L = Hcsgc_workloads.Lru_sim in
-    let config = Config.of_id config_id in
     let vm =
       Vm.create
         ~layout:(Layout.scaled ~small_page:(64 * 1024))
@@ -494,7 +482,7 @@ let lru_cmd =
   in
   Cmd.v
     (Cmd.info "lru" ~doc:"LRU object-cache service (pointer-surgery workload)")
-    Term.(const run $ config_id $ gc_log_flag $ seed $ verify_flag)
+    Term.(const run $ config $ gc_log $ seed $ verify)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the KV serving tier with SLO accounting                      *)
@@ -503,76 +491,61 @@ let lru_cmd =
 let serve_cmd =
   let module Serve = Hcsgc_serve.Serve in
   let module Slo = Hcsgc_serve.Slo in
-  let module Arrival = Hcsgc_serve.Arrival in
-  let module Keydist = Hcsgc_workloads.Keydist in
   let d = Serve.default in
-  let keys =
-    Arg.(value & opt int d.Serve.keys & info [ "keys" ] ~docv:"N"
-           ~doc:"Distinct keys in the store (all prepopulated).")
-  in
-  let value_words =
-    Arg.(value & opt int d.Serve.value_words & info [ "value-words" ]
-           ~docv:"W" ~doc:"Payload words per entry.")
-  in
-  let mutators =
-    Arg.(value & opt int d.Serve.mutators & info [ "mutators" ] ~docv:"N"
-           ~doc:"Serving threads; keys are sharded across them by key mod N.")
-  in
-  let dist =
-    Arg.(value & opt string "zipf:0.99" & info [ "dist" ] ~docv:"SPEC"
+  let params =
+    let keys =
+      Arg.(value & opt positive d.Serve.keys & info [ "keys" ] ~docv:"N"
+             ~doc:"Distinct keys in the store (all prepopulated).")
+    in
+    let value_words =
+      Arg.(value & opt positive d.Serve.value_words & info [ "value-words" ]
+             ~docv:"W" ~doc:"Payload words per entry.")
+    in
+    let mutators =
+      Arg.(value & opt positive d.Serve.mutators & info [ "mutators" ] ~docv:"N"
+             ~doc:"Serving threads; keys are sharded across them by key mod N.")
+    in
+    let dist =
+      spelled Hcsgc_workloads.Keydist.spec_of_string "zipf:0.99"
+        (Arg.info [ "dist" ] ~docv:"SPEC"
            ~doc:"Key distribution: uniform, hotset:HOT,BIAS, zipf[:THETA], \
                  seq[:STRIDE].")
-  in
-  let mix =
-    Arg.(value & opt string "60,35,5" & info [ "mix" ] ~docv:"G,U,S"
+    in
+    let mix =
+      let of_string s =
+        match List.map int_of_string_opt (String.split_on_char ',' s) with
+        | [ Some g; Some u; Some sc ]
+          when g >= 0 && u >= 0 && sc >= 0 && g + u + sc = 100 ->
+            Ok (g, u, sc)
+        | _ ->
+            Error
+              (Printf.sprintf "bad --mix %S (expected G,U,S percentages \
+                               summing to 100)" s)
+      in
+      spelled of_string "60,35,5"
+        (Arg.info [ "mix" ] ~docv:"G,U,S"
            ~doc:"Request mix as get,update,scan percentages (sum 100).")
-  in
-  let scan_len =
-    Arg.(value & opt int d.Serve.mix.Serve.scan_len & info [ "scan-len" ]
-           ~docv:"L" ~doc:"Consecutive slots read per scan request.")
-  in
-  let arrivals =
-    Arg.(value & opt string "constant" & info [ "arrivals" ] ~docv:"PROC"
+    in
+    let scan_len =
+      Arg.(value & opt positive d.Serve.mix.Serve.scan_len & info [ "scan-len" ]
+             ~docv:"L" ~doc:"Consecutive slots read per scan request.")
+    in
+    let arrivals =
+      spelled Hcsgc_serve.Arrival.process_of_string "constant"
+        (Arg.info [ "arrivals" ] ~docv:"PROC"
            ~doc:"Arrival process: constant, diurnal[:TROUGH], \
                  bursty[:PERIOD,BURST,MULT].")
-  in
-  let load =
-    Arg.(value & opt float d.Serve.load & info [ "load" ] ~docv:"R"
-           ~doc:"Offered load in requests per megacycle (open loop).")
-  in
-  let duration =
-    Arg.(value & opt int (d.Serve.duration / 1_000_000) & info [ "duration" ]
-           ~docv:"MC" ~doc:"Arrival window in megacycles.")
-  in
-  let slo_us =
-    Arg.(value & opt int 5 & info [ "slo-us" ] ~docv:"US"
-           ~doc:"Latency SLO in microseconds (at 3 GHz); 0 disables \
-                 violation accounting.")
-  in
-  let heap_mb =
-    Arg.(value & opt int 8 & info [ "heap-mb" ] ~docv:"MB"
-           ~doc:"Max heap in MiB.")
-  in
-  let run config_id keys value_words mutators dist mix scan_len arrivals load
-      duration slo_us heap_mb seed shard_domains trace_out trace_sample
-      verify tier_cap tier_lat tier_nop =
-    let fail fmt_str = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 2) fmt_str in
-    let dist =
-      match Keydist.spec_of_string dist with
-      | Ok s -> s
-      | Error e -> fail "%s" e
     in
-    let process =
-      match Arrival.process_of_string arrivals with
-      | Ok p -> p
-      | Error e -> fail "%s" e
+    let load =
+      Arg.(value & opt positive_float d.Serve.load & info [ "load" ] ~docv:"R"
+             ~doc:"Offered load in requests per megacycle (open loop).")
     in
-    let gets, updates, scans =
-      match String.split_on_char ',' mix |> List.map int_of_string_opt with
-      | [ Some g; Some u; Some s ] -> (g, u, s)
-      | _ -> fail "bad --mix %S (expected G,U,S percentages)" mix
+    let duration =
+      Arg.(value & opt positive (d.Serve.duration / 1_000_000)
+           & info [ "duration" ] ~docv:"MC" ~doc:"Arrival window in megacycles.")
     in
-    let p =
+    let params keys value_words mutators dist (gets, updates, scans) scan_len
+        process load duration seed =
       {
         Serve.keys;
         value_words;
@@ -585,10 +558,20 @@ let serve_cmd =
         seed;
       }
     in
-    let config =
-      apply_tier ~capacity:tier_cap ~lat_far:tier_lat ~no_promote:tier_nop
-        (Config.of_id config_id)
-    in
+    Term.(
+      const params $ keys $ value_words $ mutators $ dist $ mix $ scan_len
+      $ arrivals $ load $ duration $ seed)
+  in
+  let slo_us =
+    Arg.(value & opt non_negative 5 & info [ "slo-us" ] ~docv:"US"
+           ~doc:"Latency SLO in microseconds (at 3 GHz); 0 disables \
+                 violation accounting.")
+  in
+  let heap_mb =
+    Arg.(value & opt positive 8 & info [ "heap-mb" ] ~docv:"MB"
+           ~doc:"Max heap in MiB.")
+  in
+  let run (config_id, config) p slo_us heap_mb shard_domains trace verify =
     Format.fprintf fmt "serve under config %d (%s)%s%s@." config_id
       (Config.to_string config)
       (if shard_domains > 0 then
@@ -598,15 +581,15 @@ let serve_cmd =
     let vm =
       Vm.create
         ~layout:(Layout.scaled ~small_page:(64 * 1024))
-        ~machine_config:E.Scaled_machine.config ~mutators ~shard_domains
-        ~trigger:0.10 ~config
+        ~machine_config:E.Scaled_machine.config ~mutators:p.Serve.mutators
+        ~shard_domains ~trigger:0.10 ~config
         ~max_heap:(heap_mb * 1024 * 1024)
         ()
     in
     if verify then Vm.enable_verification vm;
     (* Telemetry is always on here: pause intervals feed the SLO
        attribution (and it charges no simulated cycles). *)
-    let recorder = Vm.enable_telemetry ~sample_interval:trace_sample vm in
+    let recorder = Vm.enable_telemetry ~sample_interval:trace.sample vm in
     let r = Serve.run vm p in
     Vm.finish vm;
     let report =
@@ -620,9 +603,7 @@ let serve_cmd =
     Format.fprintf fmt "%a@." Slo.pp_histogram (Slo.histogram r.Serve.requests);
     Format.fprintf fmt "checksum: %d@.@." r.Serve.checksum;
     report_single vm;
-    match trace_out with
-    | Some path -> emit_artifacts ~trace_out:path recorder
-    | None -> ()
+    Option.iter (fun path -> emit_artifacts ~trace_out:path recorder) trace.out
   in
   Cmd.v
     (Cmd.info "serve"
@@ -631,72 +612,65 @@ let serve_cmd =
           serving threads, tail-latency SLO accounting with GC-pause \
           attribution")
     Term.(
-      const run $ config_id $ keys $ value_words $ mutators $ dist $ mix
-      $ scan_len $ arrivals $ load $ duration $ slo_us $ heap_mb $ seed
-      $ shard_domains $ trace_out $ trace_sample $ verify_flag
-      $ tier_capacity $ lat_far_arg $ tier_no_promote)
+      const run $ tiered_config $ params $ slo_us $ heap_mb $ shard_domains
+      $ trace $ verify)
 
 (* ------------------------------------------------------------------ *)
 (* profile: one (experiment, config) pair with full telemetry          *)
 (* ------------------------------------------------------------------ *)
 
 let profile_cmd =
-  let exp_names =
-    [ "f4"; "f5"; "f6"; "cc-uk"; "cc-enwiki"; "mc-uk"; "mc-enwiki"; "h2";
-      "tradebeans" ]
-  in
-  let exp_arg =
-    let doc =
-      Printf.sprintf "Experiment to profile: %s."
-        (String.concat ", " exp_names)
-    in
-    Arg.(value & opt string "f4" & info [ "exp" ] ~docv:"NAME" ~doc)
-  in
-  let experiment_of ~scale name =
+  let experiments =
     let module D = Hcsgc_graph.Dataset in
-    match name with
-    | "f4" -> Some (E.Fig_synthetic.experiment ~scale ())
-    | "f5" -> Some (E.Fig_synthetic.experiment ~phases:3 ~scale ())
-    | "f6" ->
-        Some
-          (E.Fig_synthetic.experiment ~cold_ratio:10 ~saturated:true
-             ~heap_mult:2 ~scale ())
-    | "cc-uk" ->
-        Some (E.Fig_graph.cc_experiment ~dataset:D.uk_cc ~scale:(4 * scale) ())
-    | "cc-enwiki" ->
-        Some
-          (E.Fig_graph.cc_experiment ~dataset:D.enwiki_cc ~scale:(4 * scale) ())
-    | "mc-uk" -> Some (E.Fig_graph.mc_experiment ~dataset:D.uk_mc ~scale:(2 * scale) ())
-    | "mc-enwiki" ->
-        Some (E.Fig_graph.mc_experiment ~dataset:D.enwiki_mc ~scale:(2 * scale) ())
-    | "h2" -> Some (E.Fig_dacapo.h2_experiment ~scale ())
-    | "tradebeans" -> Some (E.Fig_dacapo.tradebeans_experiment ~scale ())
-    | _ -> None
+    [
+      ("f4", fun ~scale -> E.Fig_synthetic.experiment ~scale ());
+      ("f5", fun ~scale -> E.Fig_synthetic.experiment ~phases:3 ~scale ());
+      ( "f6",
+        fun ~scale ->
+          E.Fig_synthetic.experiment ~cold_ratio:10 ~saturated:true
+            ~heap_mult:2 ~scale () );
+      ( "cc-uk",
+        fun ~scale ->
+          E.Fig_graph.cc_experiment ~dataset:D.uk_cc ~scale:(4 * scale) () );
+      ( "cc-enwiki",
+        fun ~scale ->
+          E.Fig_graph.cc_experiment ~dataset:D.enwiki_cc ~scale:(4 * scale) () );
+      ( "mc-uk",
+        fun ~scale ->
+          E.Fig_graph.mc_experiment ~dataset:D.uk_mc ~scale:(2 * scale) () );
+      ( "mc-enwiki",
+        fun ~scale ->
+          E.Fig_graph.mc_experiment ~dataset:D.enwiki_mc ~scale:(2 * scale) () );
+      ("h2", fun ~scale -> E.Fig_dacapo.h2_experiment ~scale ());
+      ("tradebeans", fun ~scale -> E.Fig_dacapo.tradebeans_experiment ~scale ());
+    ]
   in
-  let run config_id scale exp_name trace_out trace_sample seed verify
-      cache_dir no_cache refresh =
-    match experiment_of ~scale exp_name with
-    | None ->
-        Format.eprintf "unknown experiment %S (expected one of: %s)@." exp_name
-          (String.concat ", " exp_names);
-        exit 2
-    | Some exp ->
-        let trace_out = Option.value trace_out ~default:"trace.json" in
-        Format.fprintf fmt "profiling %s under config %d (%s)%s@."
-          exp.E.Runner.name config_id
-          (Config.to_string (Config.of_id config_id))
-          (if verify then " [verified]" else "");
-        let job = { E.Runner.exp; config_id; run = seed } in
-        let cache = cache_of ~no_cache ~refresh ~cache_dir in
-        let metrics, recorder =
-          E.Runner.profile ~sample_interval:trace_sample ~verify ?cache job
-        in
-        Format.fprintf fmt "execution time: %.0f cycles, %d GC cycles@."
-          metrics.E.Runner.wall metrics.E.Runner.gc_cycle_count;
-        emit_artifacts ~trace_out recorder;
-        Option.iter
-          (fun c -> Format.eprintf "[profile] %s@." (store_line c.E.Runner.store))
-          cache
+  let experiment =
+    let names = List.map fst experiments in
+    let exp_name =
+      let doc = "Experiment to profile: " ^ String.concat ", " names ^ "." in
+      Arg.(value
+          & opt (enum (List.map (fun n -> (n, n)) names)) "f4"
+          & info [ "exp" ] ~docv:"NAME" ~doc)
+    in
+    Term.(
+      const (fun name scale -> List.assoc name experiments ~scale)
+      $ exp_name $ scale)
+  in
+  let run config_id (exp : E.Runner.experiment) trace seed verify cache =
+    let trace_out = Option.value trace.out ~default:"trace.json" in
+    Format.fprintf fmt "profiling %s under config %d (%s)%s@." exp.E.Runner.name
+      config_id
+      (Config.to_string (Config.of_id config_id))
+      (if verify then " [verified]" else "");
+    let job = { E.Runner.exp; config_id; run = seed } in
+    let metrics, recorder =
+      E.Runner.profile ~sample_interval:trace.sample ~verify ?cache job
+    in
+    Format.fprintf fmt "execution time: %.0f cycles, %d GC cycles@."
+      metrics.E.Runner.wall metrics.E.Runner.gc_cycle_count;
+    emit_artifacts ~trace_out recorder;
+    report_store "profile" cache
   in
   Cmd.v
     (Cmd.info "profile"
@@ -705,9 +679,7 @@ let profile_cmd =
           telemetry attached and emit a Chrome trace-event JSON file, a CSV \
           counter time-series and a text summary (pause percentiles, MMU, \
           relocation attribution)")
-    Term.(
-      const run $ config_id $ scale $ exp_arg $ trace_out $ trace_sample
-      $ seed $ verify_flag $ cache_dir $ no_cache $ refresh_flag)
+    Term.(const run $ config_id $ experiment $ trace $ seed $ verify $ cache)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: random-mutator smoke under full verification                  *)
@@ -716,15 +688,15 @@ let profile_cmd =
 let fuzz_cmd =
   let module Fuzz = Hcsgc_fuzz.Fuzz in
   let seeds =
-    Arg.(value & opt int 200 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt positive 200 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of consecutive seeds to fuzz (starting at --seed).")
   in
   let ops =
-    Arg.(value & opt int 1_500 & info [ "ops" ] ~docv:"N"
+    Arg.(value & opt positive 1_500 & info [ "ops" ] ~docv:"N"
            ~doc:"Actions per seed.")
   in
   let slots =
-    Arg.(value & opt int 24 & info [ "slots" ] ~docv:"N"
+    Arg.(value & opt positive 24 & info [ "slots" ] ~docv:"N"
            ~doc:"Root-table slots.")
   in
   let out =
@@ -738,15 +710,11 @@ let fuzz_cmd =
            ~doc:"Skip the mark-sweep reachability oracle (invariants only).")
   in
   let mutators =
-    Arg.(value & opt int 1 & info [ "mutators" ] ~docv:"N"
+    Arg.(value & opt positive 1 & info [ "mutators" ] ~docv:"N"
            ~doc:"Deal actions round-robin over $(docv) mutator threads.")
   in
-  let run config_id seed seeds ops slots out no_oracle mutators shard_domains
-      tier_cap tier_lat tier_nop =
-    let config =
-      apply_tier ~capacity:tier_cap ~lat_far:tier_lat ~no_promote:tier_nop
-        (Config.of_id config_id)
-    in
+  let run (config_id, config) seed seeds ops slots out no_oracle mutators
+      shard_domains =
     Format.fprintf fmt
       "fuzzing %d seed(s) from %d: config %d (%s), %d ops x %d slots, %d \
        mutator(s)%s@."
@@ -787,9 +755,8 @@ let fuzz_cmd =
           enabled, shrinking any failure to a minimal replayable action \
           sequence (written to --out)")
     Term.(
-      const run $ config_id $ seed $ seeds $ ops $ slots $ out $ no_oracle
-      $ mutators $ shard_domains $ tier_capacity $ lat_far_arg
-      $ tier_no_promote)
+      const run $ tiered_config $ seed $ seeds $ ops $ slots $ out $ no_oracle
+      $ mutators $ shard_domains)
 
 (* ------------------------------------------------------------------ *)
 (* tier: the far-memory capacity sweep                                 *)
@@ -802,17 +769,14 @@ let tier_cmd =
        scaled layout); 0 is the tier-free baseline."
     in
     Arg.(value
-        & opt (list int) E.Fig_tier.default_capacities
+        & opt (list non_negative) E.Fig_tier.default_capacities
         & info [ "capacities" ] ~docv:"P1,P2,..." ~doc)
   in
   let run runs jobs scale shard_domains capacities lat_far no_promote verify
-      cache_dir no_cache refresh =
-    let cache = cache_of ~no_cache ~refresh ~cache_dir in
+      cache =
     E.Fig_tier.figure ~runs ~jobs ~scale ~shard_domains ~capacities ~lat_far
       ~promote:(not no_promote) ~verify ?cache fmt;
-    Option.iter
-      (fun c -> Format.eprintf "[tier] %s@." (store_line c.E.Runner.store))
-      cache
+    report_store "tier" cache
   in
   Cmd.v
     (Cmd.info "tier"
@@ -821,9 +785,8 @@ let tier_cmd =
           hit rate, simulated wall time and DRAM-footprint savings per \
           capacity, under the strongest hotness configuration")
     Term.(
-      const run $ runs $ jobs $ scale $ shard_domains $ capacities
-      $ lat_far_arg $ tier_no_promote $ verify_flag $ cache_dir $ no_cache
-      $ refresh_flag)
+      const run $ runs $ jobs $ scale $ shard_domains $ capacities $ lat_far
+      $ tier_no_promote $ verify $ cache)
 
 (* ------------------------------------------------------------------ *)
 (* figure: the paper's tables and figures, from the artefact registry   *)
@@ -854,8 +817,7 @@ let figure_cmd =
     in
     Arg.(value & flag & info [ "fifo" ] ~doc)
   in
-  let run ids runs scale jobs shard_domains fifo cache_dir no_cache refresh =
-    let cache = cache_of ~no_cache ~refresh ~cache_dir in
+  let run ids runs scale jobs shard_domains fifo cache =
     let scheduling = if fifo then `Fifo else `Cost in
     let t0 = Unix.gettimeofday () in
     List.iter
@@ -866,9 +828,7 @@ let figure_cmd =
           ~scale:(Option.value scale ~default:a.A.scale)
           ~jobs ~shard_domains ~cache ~scheduling fmt)
       (if ids = [] then A.all else List.filter_map A.find ids);
-    Option.iter
-      (fun c -> Format.eprintf "[figure] %s@." (store_line c.E.Runner.store))
-      cache;
+    report_store "figure" cache;
     Format.eprintf "[figure] done in %.1fs@." (Unix.gettimeofday () -. t0)
   in
   let man =
@@ -888,7 +848,7 @@ let figure_cmd =
       const run $ ids
       $ per_artefact "runs" "N" "Sample size per configuration"
       $ per_artefact "scale" "K" "Divide workload size by $(docv)"
-      $ jobs $ shard_domains $ fifo $ cache_dir $ no_cache $ refresh_flag)
+      $ jobs $ shard_domains $ fifo $ cache)
 
 let () =
   let info =
